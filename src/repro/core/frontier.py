@@ -31,15 +31,21 @@ eligible edges is literally ``rows_in[eligible]``, one gather.
 
 One round at parameter ``c ≥ 3`` (the body of :func:`_drive`):
 
-1. enumerate every candidate bit of every mask (one ``unpackbits`` +
-   ``nonzero``) — the (item, member) *units*;
+1. enumerate every candidate bit of every mask (one byte-peeling
+   :func:`~repro.graphs.bitset.set_bits_2d`) — the (item, member)
+   *units*, row-major, so an item's units are contiguous and their rank
+   order is their position order;
 2. gather each member's out-row, AND with its item's mask — the edges of
-   ``DAG[I]`` per item, again one ``nonzero``;
-3. apply the relevant-pair rule δ_I(u,v) ≥ c−2 as a vectorized rank
-   filter (ranks recovered with one ``searchsorted`` against the sorted
-   unit keys), so counts stay bit-identical to the reference engine;
-4. child masks = ``mask & rows[w] & rows_in[x]`` — three gathered ANDs —
-   kept where ``popcount ≥ c−2``.
+   ``DAG[I]`` per item;
+3. apply the relevant-pair rule δ_I(u,v) ≥ c−2 as a mask *before* the
+   second enumeration: unit ``i`` can only be the lower endpoint of a
+   relevant pair if unit ``i + (c−1)`` is in the same item, and its
+   relevant targets are exactly the members at positions
+   ``≥ pos[i + (c−1)]``, so the bits below that threshold are cleared
+   and the enumeration yields only relevant pairs — counts stay
+   bit-identical to the reference engine;
+4. child masks = ``(mask & rows[w]) & rows_in[x]`` — the step-2 AND
+   reused, one more gathered AND — kept where ``popcount ≥ c−2``.
 
 ``c ∈ {1, 2}`` are closed-form leaf rounds (popcounts). Like the bitset
 kernel, the search itself is untracked — a tracker passed to the entry
@@ -70,6 +76,8 @@ __all__ = [
 ]
 
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+# _FROM[s] keeps bits s..63 of a word; s = 64 keeps none.
+_FROM = np.append(~np.uint64(0) << np.arange(64, dtype=np.uint64), np.uint64(0))
 
 
 class FrontierTables:
@@ -164,7 +172,7 @@ def _drive(
     """
     collect = prefixes is not None
     rows, rows_in = tables.rows, tables.rows_in
-    universe = tables.width * 64
+    word_start = 64 * np.arange(tables.width, dtype=np.int64)
     total = 0
     emitted: List[np.ndarray] = []
     rounds = width_hist = peak = pairs_ctr = children_ctr = None
@@ -218,35 +226,24 @@ def _drive(
             break
 
         # Expansion round (c >= 3): one relevant DAG[I]-edge per child.
+        # Units of one item are contiguous and in increasing `pos`, so a
+        # unit's rank among its item's members is its position order: unit
+        # i is the lower endpoint of a relevant pair iff unit i + gap still
+        # belongs to its item, and then its relevant targets are exactly
+        # the members at positions >= pos[i + gap].
         gap = (c - 1) if prune else 1
-        counts = np.bincount(item, minlength=base.size)
-        starts = np.zeros(base.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        rank_w = np.arange(item.size, dtype=np.int64) - starts[item]
-        # A member whose rank leaves fewer than `gap` candidates after it
-        # cannot be the lower endpoint of a relevant pair.
-        viable = rank_w + gap <= counts[item] - 1
-        item_v = item[viable]
-        w_rows_v = w_rows[viable]
-        rank_w_v = rank_w[viable]
-
-        cand = rows[w_rows_v] & masks[item_v]
-        unit, x_pos = set_bits_2d(cand)
+        lo = np.flatnonzero(item[gap:] == item[: max(item.size - gap, 0)])
+        item_v = item[lo]
+        w_rows_v = w_rows[lo]
+        # Per word, the bits at or above the threshold position pos[i + gap].
+        shift = np.clip(pos[lo + gap][:, None] - word_start, 0, 64)
+        edges = rows[w_rows_v] & masks[item_v]
+        unit, x_pos = set_bits_2d(edges & _FROM[shift])
         if pairs_ctr is not None:
             pairs_ctr.inc(int(unit.size))
-        # Rank of each target inside its item's candidate set: its slot in
-        # the (sorted, row-major) unit key list, rebased per item.
-        key_all = item * universe + pos
         item2 = item_v[unit]
-        rank_x = (
-            np.searchsorted(key_all, item2 * universe + x_pos) - starts[item2]
-        )
-        keep = rank_x >= rank_w_v[unit] + gap
-        unit = unit[keep]
-        x_pos = x_pos[keep]
-        item2 = item2[keep]
 
-        child = masks[item2] & rows[w_rows_v[unit]] & rows_in[base[item2] + x_pos]
+        child = edges[unit] & rows_in[base[item2] + x_pos]
         alive = popcount_rows(child) >= (c - 2)
         if children_ctr is not None:
             children_ctr.inc(int(np.count_nonzero(alive)))

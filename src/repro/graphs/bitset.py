@@ -34,43 +34,30 @@ __all__ = [
 
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
-# 16-bit popcount lookup table: popcount of an array of uint64 words via
-# four 16-bit slices (numpy has no native popcount until 2.0's bitwise_count).
-_POP16 = np.array(
-    [bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8
+# Index of the lowest set bit of every nonzero byte value (entry 0 unused).
+_CTZ8 = np.array(
+    [((i & -i).bit_length() - 1) if i else 0 for i in range(256)],
+    dtype=np.int64,
 )
 
 
 def popcount(words: np.ndarray) -> int:
     """Total number of set bits across an array of uint64 words."""
-    if words.size == 0:
-        return 0
-    w = words.astype(np.uint64, copy=False)
-    total = 0
-    for shift in (0, 16, 32, 48):
-        chunk = (w >> np.uint64(shift)) & np.uint64(0xFFFF)
-        total += int(_POP16[chunk.astype(np.int64)].sum())
-    return total
+    return int(np.bitwise_count(words.astype(np.uint64, copy=False)).sum())
 
 
 def popcount_rows(words: np.ndarray) -> np.ndarray:
     """Per-row popcount of a 2-D ``(rows, nwords)`` uint64 array.
 
-    The whole-array sibling of :func:`popcount`: one int64 count per row,
-    computed with four table lookups over 16-bit slices — no Python loop
-    over rows, which is what lets the frontier engine filter thousands of
-    candidate masks per numpy call.
+    The whole-array sibling of :func:`popcount`: one int64 count per row
+    from numpy's native ``bitwise_count`` — no Python loop over rows,
+    which is what lets the frontier engine filter thousands of candidate
+    masks per numpy call.
     """
     if words.ndim != 2:
         raise ValueError(f"expected a 2-D word array, got ndim={words.ndim}")
-    out = np.zeros(words.shape[0], dtype=np.int64)
-    if words.size == 0:
-        return out
     w = words.astype(np.uint64, copy=False)
-    for shift in (0, 16, 32, 48):
-        chunk = (w >> np.uint64(shift)) & np.uint64(0xFFFF)
-        out += _POP16[chunk.astype(np.int64)].sum(axis=1, dtype=np.int64)
-    return out
+    return np.bitwise_count(w).sum(axis=1, dtype=np.int64)
 
 
 def set_bits_2d(words: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
@@ -80,19 +67,36 @@ def set_bits_2d(words: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     position (row-major) — the vectorized counterpart of calling
     :func:`unpack_bits` per row. Bit position is the index within the
     row's ``64 * nwords``-bit universe.
+
+    Byte peeling: only the nonzero bytes are visited. Each gets its
+    output slots from a running sum of byte popcounts, then at most 8
+    rounds write the lowest remaining bit of every still-nonzero byte
+    and clear it, so the output is allocated once at its exact size and
+    no per-bit plane of the input is ever materialized.
     """
     if words.ndim != 2:
         raise ValueError(f"expected a 2-D word array, got ndim={words.ndim}")
-    empty = np.empty(0, dtype=np.int64)
-    if words.size == 0:
-        return empty, empty
-    w = np.ascontiguousarray(words, dtype=np.uint64)
-    # Native uint64 is little-endian on every platform we run on, so the
-    # byte view enumerates bits 0..63 of each word in order when unpacked
-    # LSB-first.
-    bits = np.unpackbits(w.view(np.uint8), axis=1, bitorder="little")
-    rows, pos = np.nonzero(bits)
-    return rows.astype(np.int64), pos.astype(np.int64)
+    # Little-endian words make byte j of word i hold bits 8j..8j+7 of it.
+    w = np.ascontiguousarray(words, dtype="<u8")
+    row_bytes = 8 * w.shape[1]
+    flat = w.view(np.uint8).reshape(-1)
+    nz = np.flatnonzero(flat)
+    byte = flat[nz]
+    cnt = np.bitwise_count(byte)
+    row_of, byte_col = np.divmod(nz, row_bytes)
+    rows = np.repeat(row_of, cnt)
+    pos = np.empty(rows.size, dtype=np.int64)
+    slot = np.cumsum(cnt, dtype=np.int64)
+    slot -= cnt
+    bit0 = byte_col * 8
+    while byte.size:
+        pos[slot] = bit0 + _CTZ8[byte]
+        byte &= byte - np.uint8(1)
+        more = np.flatnonzero(byte)
+        byte = byte[more]
+        slot = slot[more] + 1
+        bit0 = bit0[more]
+    return rows, pos
 
 
 def pack_indices(indices: np.ndarray, universe: int) -> np.ndarray:

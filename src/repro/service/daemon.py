@@ -223,7 +223,13 @@ class CliqueService:
         self.memory_budget_bytes = memory_budget_bytes
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = cache if cache is not None else PreparedCache(cache_size)
-        self.registry = GraphRegistry(self.cache, eps=self.eps)
+        # Mutation work charges the registry's tracker; attaching the
+        # service registry to it makes the dynamic.* counters live.
+        mutation_tracker = Tracker()
+        mutation_tracker.attach_metrics(self.metrics)
+        self.registry = GraphRegistry(
+            self.cache, eps=self.eps, tracker=mutation_tracker
+        )
         self.admission = AdmissionController(
             max_query_work=max_query_work,
             max_inflight_work=max_inflight_work,
@@ -237,6 +243,7 @@ class CliqueService:
         self._mutation_locks: Dict[str, asyncio.Lock] = {}
         self._stop_event: Optional[asyncio.Event] = None
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
         self._started = time.time()
         self._ops: Dict[str, Callable[[Dict[str, Any]], Awaitable[Dict[str, Any]]]] = {
             "ping": self._op_ping,
@@ -569,13 +576,17 @@ class CliqueService:
 
     async def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
         exported = self.metrics.to_dict()
-        service = {
-            name: inst["value"]
-            for name, inst in exported.items()
-            if name.startswith("service.") and "value" in inst
-        }
+
+        def scalars(prefix: str) -> Dict[str, Any]:
+            return {
+                name: inst["value"]
+                for name, inst in exported.items()
+                if name.startswith(prefix) and "value" in inst
+            }
+
         return {
-            "service": service,
+            "service": scalars("service."),
+            "dynamic": scalars("dynamic."),
             "cache": self.cache.info(),
             "graphs": self.registry.describe(),
             "admission": {
@@ -613,6 +624,10 @@ class CliqueService:
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        handler = asyncio.current_task()
+        assert handler is not None
+        self._connections[handler] = writer
+        handler.add_done_callback(self._connections.pop)
         write_lock = asyncio.Lock()
         pending: set = set()
 
@@ -666,10 +681,18 @@ class CliqueService:
         await self._stopper().wait()
 
     async def aclose(self) -> None:
-        """Stop accepting, drain the server, release the worker pool."""
+        """Stop accepting, close every connection, release the worker pool.
+
+        Each connection handler is awaited after its writer is closed, so
+        none is left running — or able to submit work — once the pool
+        shuts down.
+        """
         self._stopper().set()
         if self._server is not None:
             self._server.close()
+            for writer in self._connections.values():
+                writer.close()
+            await asyncio.gather(*self._connections, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         if self._pool is not None:

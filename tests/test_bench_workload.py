@@ -305,9 +305,10 @@ class TestReplayCLI:
             l for l in ck2.splitlines() if "checksum" in l
         ]
 
-    def test_replay_compare_pass_and_breach(self, tmp_path, capsys):
+    def test_replay_compare_pass_and_breach(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
 
+        monkeypatch.chdir(tmp_path)  # --compare writes a BENCH_<ts>.json
         baseline = str(tmp_path / "base.json")
         assert main(self.ARGS + ["--out", baseline]) == 0
         capsys.readouterr()

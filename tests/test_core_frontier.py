@@ -8,6 +8,8 @@ triangle-support kernelization. These are the acceptance properties of
 the engine; the perf story lives in BENCH_baseline.json.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -165,6 +167,87 @@ class TestObservability:
         data = registry.to_dict()
         assert 0 < data["kernel.shrink_ratio"]["value"] < 1
         assert data["kernel.kept_vertices"]["value"] == 6
+
+
+def _two_word_graph():
+    """K_{70,70} plus a sparse random graph and a planted K_6 on one side.
+
+    Every vertex has degree >= 70, so the degeneracy DAG's max out-degree
+    exceeds 64 and every frontier mask spans two words, yet the cliques
+    stay few: at most one vertex from the independent side.
+    """
+    rng = np.random.default_rng(5)
+    side_b = range(70, 140)
+    edges = [(a, b) for a in range(70) for b in side_b]
+    edges += [e for e in itertools.combinations(side_b, 2) if rng.random() < 0.12]
+    edges += itertools.combinations([75, 88, 101, 113, 126, 139], 2)
+    return from_edges(np.asarray(edges, dtype=np.int64), num_vertices=140)
+
+
+def _brute_force_relevant_pairs(g, k, prune):
+    """Relevant DAG[I]-edges over every expansion round, one pair at a time.
+
+    The reference recursion's rule: in the sorted candidate set I, the
+    pair (w, x) with x at least ``gap`` places after w is expanded iff
+    w -> x is a DAG edge; its child set is I ∩ N⁺(w) ∩ N⁻(x), kept when it
+    still has c-2 members.
+    """
+    ctx = PreparedGraph(g)
+    dag = ctx.dag("degeneracy")
+    comms = ctx.communities("degeneracy")
+    out = [set(dag.out_neighbors(v).tolist()) for v in range(dag.num_vertices)]
+    frontier = [
+        sorted(comms.of(e).tolist())
+        for e in range(dag.num_edges)
+        if comms.sizes[e] >= k - 2
+    ]
+    c, pairs = k - 2, 0
+    while c >= 3 and frontier:
+        gap = (c - 1) if prune else 1
+        children = []
+        for members in frontier:
+            for i, w in enumerate(members):
+                for x in members[i + gap:]:
+                    if x not in out[w]:
+                        continue
+                    pairs += 1
+                    child = [y for y in members if y in out[w] and x in out[y]]
+                    if len(child) >= c - 2:
+                        children.append(child)
+        frontier, c = children, c - 2
+    return pairs
+
+
+class TestRelevantPairs:
+    """The relevant-pair rule is applied before the pairs are enumerated,
+    so ``frontier.pairs`` counts exactly the relevant pairs."""
+
+    GRAPHS = {
+        "one-word": lambda: gnm_random_graph(40, 400, seed=4),
+        "two-word": _two_word_graph,
+    }
+
+    @pytest.fixture(scope="class", params=sorted(GRAPHS))
+    def graph(self, request):
+        return self.GRAPHS[request.param]()
+
+    @pytest.mark.parametrize("k", [6, 7])
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_pairs_count_and_listing(self, graph, k, prune):
+        registry = MetricsRegistry()
+        tracker = Tracker()
+        tracker.attach_metrics(registry)
+        got = frontier_count_cliques(graph, k, tracker=tracker, prune=prune)
+        expected_pairs = _brute_force_relevant_pairs(graph, k, prune)
+        assert expected_pairs > 0
+        assert registry.to_dict()["frontier.pairs"]["value"] == expected_pairs
+        assert got == count_cliques(graph, k, engine="reference").count > 0
+        assert frontier_list_cliques(graph, k) == list_cliques(graph, k)
+
+    def test_two_word_graph_sets_bits_in_the_second_word(self):
+        tables = PreparedGraph(_two_word_graph()).frontier_tables("degeneracy")
+        assert tables.width == 2
+        assert np.any(tables.rows_in[:, 1])
 
 
 class TestDispatchMetadata:

@@ -9,6 +9,7 @@ event loop via ``asyncio.run`` — no async test plugin needed.
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
 
 import pytest
@@ -381,6 +382,23 @@ class TestMutationRaces:
         assert err.code == "mutation-error"
         assert "existing edge" in err.message
 
+    def test_stats_report_dynamic_counters_after_mutate(self):
+        async def flow():
+            svc, cl = await _service()
+            await cl.register("g", edges=EDGES)
+            await cl.count("g", k=4)  # builds the pieces a mutation patches
+            before = await cl.stats()
+            await cl.mutate("g", "insert", [[0, 3]])
+            after = await cl.stats()
+            await svc.aclose()
+            return before["dynamic"], after["dynamic"]
+
+        before, after = run(flow())
+        assert before == {}
+        assert after["dynamic.mutations"] == 1
+        assert after["dynamic.patched_pieces"] > 0
+        assert after["dynamic.rebuilt_pieces"] > 0
+
 
 class TestTransport:
     def test_tcp_roundtrip_with_blocking_client(self):
@@ -492,6 +510,30 @@ class TestTransport:
 
         line = run(flow())
         assert b'"stopping":true' in line.replace(b" ", b"")
+
+    def test_aclose_waits_for_open_connections(self, caplog):
+        async def flow():
+            svc = CliqueService()
+            host, port = await svc.start("127.0.0.1", 0)
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b'{"op": "ping", "id": 1}\n')
+            await writer.drain()
+            pong = await reader.readline()
+            await svc.aclose()  # the client is still connected
+            others = [
+                t for t in asyncio.all_tasks() if t is not asyncio.current_task()
+            ]
+            eof = await asyncio.wait_for(reader.read(), timeout=10.0)
+            writer.close()
+            await writer.wait_closed()
+            return pong, others, eof
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            pong, others, eof = run(flow())
+        assert b'"ok":true' in pong.replace(b" ", b"")
+        assert others == []
+        assert eof == b""
+        assert [r.getMessage() for r in caplog.records] == []
 
 
 def gnm_from_edges(extra=()):
