@@ -120,26 +120,22 @@ def build_frontier_tables(
     Each triangle ``(u, w, v)`` contributes exactly one local edge
     ``w → v`` inside the universe of ``u``; both endpoints' local renames
     fall out of the edge ids ``(u, w)`` / ``(u, v)`` by subtracting the
-    source's row offset. Vectorized, no per-source Python loop; with
-    T triangles and m directed edges:
+    source's row offset (:meth:`OrientedDAG.edge_ids`). Vectorized, no
+    per-source Python loop; with T triangles and m directed edges:
 
-    Work: O(T + m)
+    Work: O(m + T log m)
     Depth: O(log m)
     """
     m = dag.num_edges
-    n = dag.num_vertices
     width = (dag.max_out_degree + 63) // 64
     rows = np.zeros((m, width), dtype=np.uint64)
     rows_in = np.zeros((m, width), dtype=np.uint64)
     us, _ = dag.edge_endpoints()
     base = dag.out_indptr[us.astype(np.int64)]
     if triangles.shape[0] and width:
-        keys = us.astype(np.int64) * n + dag.out_indices.astype(np.int64)
-        u = triangles[:, 0].astype(np.int64)
-        w = triangles[:, 1].astype(np.int64)
-        v = triangles[:, 2].astype(np.int64)
-        e_uw = np.searchsorted(keys, u * n + w)
-        e_uv = np.searchsorted(keys, u * n + v)
+        u = triangles[:, 0]
+        e_uw = dag.edge_ids(u, triangles[:, 1])
+        e_uv = dag.edge_ids(u, triangles[:, 2])
         src_base = dag.out_indptr[u]
         iw = e_uw - src_base  # local rename of w in N+(u)
         iv = e_uv - src_base  # local rename of v in N+(u)

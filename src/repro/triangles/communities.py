@@ -22,7 +22,7 @@ from ..graphs.digraph import OrientedDAG
 from ..pram.cost import Cost
 from ..pram.primitives import log2p1
 from ..pram.tracker import NULL_TRACKER, Tracker
-from .count import list_triangles
+from .count import list_triangles, supporting_edge_ids
 
 __all__ = ["EdgeCommunities", "build_communities"]
 
@@ -77,7 +77,9 @@ def build_communities(
 ) -> EdgeCommunities:
     """Materialize all edge communities of ``dag`` (Algorithm 1, line 1).
 
-    ``triangles`` may pass a precomputed :func:`list_triangles` result.
+    ``triangles`` may pass a precomputed :func:`list_triangles` result;
+    a row whose ``(u, v)`` is not an edge of ``dag`` raises
+    :class:`ValueError`.
     """
     if triangles is None:
         triangles = list_triangles(dag, tracker=tracker)
@@ -89,11 +91,7 @@ def build_communities(
         )
 
     # Supporting-edge id of each triangle (u, w, v) is edge (u, v).
-    eids = np.fromiter(
-        (dag.edge_id(int(u), int(v)) for u, v in zip(triangles[:, 0], triangles[:, 2])),
-        dtype=np.int64,
-        count=t,
-    )
+    eids = supporting_edge_ids(dag, triangles)
     ws = triangles[:, 1].astype(np.int64)
     # Semisort by (edge id, member) so each community comes out sorted.
     order = np.lexsort((ws, eids))

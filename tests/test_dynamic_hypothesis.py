@@ -9,14 +9,20 @@ graphs, the 12 seeded families, and the 3 seeded mutators):
   as sequential single-edge batches;
 * **incremental = scratch** — driving a :class:`DynamicGraph` to any
   mutated family instance yields the counts of a cold recompute there.
+
+The CSR splice that builds each new snapshot is checked array for array
+against a from-scratch ``from_edges`` rebuild.
 """
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.frontier import frontier_count_cliques
 from repro.core.prepared import PreparedGraph
-from repro.dynamic import DynamicGraph, random_trace
+from repro.dynamic import DynamicGraph, MutationError, random_trace
+from repro.dynamic.graph import _apply_batch, _normalized_batch
 from repro.fuzz.strategies import (
     MUTATORS,
     derive_seed,
@@ -24,6 +30,7 @@ from repro.fuzz.strategies import (
     family_cases,
     random_graphs,
 )
+from repro.graphs import from_edges
 
 SETTINGS = dict(
     max_examples=20,
@@ -95,3 +102,61 @@ def test_incremental_equals_scratch_on_fuzz_families(case, data):
         dyn.insert_edges(inserts)
     assert dyn.graph == mutated
     assert dyn.count(4) == scratch(mutated, 4)
+
+
+def rebuilt(graph, op, batch):
+    """The snapshot after ``batch``, rebuilt from its full edge list."""
+    edges = set(edge_list(graph))
+    if op == "insert":
+        edges |= set(batch)
+    else:
+        edges -= set(batch)
+    arr = np.asarray(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    return from_edges(arr, num_vertices=graph.num_vertices)
+
+
+def assert_splice_matches_rebuild(graph, op, batch):
+    normalized = _normalized_batch(graph, op, batch)
+    spliced = _apply_batch(graph, op, normalized)
+    expected = rebuilt(graph, op, normalized)
+    assert spliced.indptr.dtype == expected.indptr.dtype
+    assert spliced.indices.dtype == expected.indices.dtype
+    assert np.array_equal(spliced.indptr, expected.indptr)
+    assert np.array_equal(spliced.indices, expected.indices)
+    return spliced
+
+
+@given(g=random_graphs(max_n=14), seed=st.integers(0, 2**20))
+@settings(**SETTINGS)
+def test_csr_splice_equals_rebuild_over_traces(g, seed):
+    trace = random_trace(g, batches=4, batch_size=5, seed=seed)
+    for step in trace:
+        batch = [tuple(p) for p in step["batch"]]
+        g = assert_splice_matches_rebuild(g, step["op"], batch)
+
+
+def test_csr_splice_first_and_last_edges_of_a_vertex():
+    g = from_edges([(0, 1), (1, 2), (2, 4)], num_vertices=6)
+    # Vertex 4 loses its only edge; vertices 3 and 5 gain their first.
+    g = assert_splice_matches_rebuild(g, "delete", [(2, 4)])
+    assert g.degree(4) == 0
+    g = assert_splice_matches_rebuild(g, "insert", [(3, 5), (0, 3), (5, 0)])
+    assert g.degree(3) == 2 and g.degree(5) == 2
+    # Every edge out, then back in at once.
+    everything = edge_list(g)
+    g = assert_splice_matches_rebuild(g, "delete", everything)
+    assert g.num_edges == 0
+    assert_splice_matches_rebuild(g, "insert", everything)
+
+
+def test_csr_splice_rejects_unvalidated_batches():
+    g = from_edges([(0, 1), (1, 2), (0, 2)], num_vertices=4)
+    before = (g.indptr.copy(), g.indices.copy())
+    with pytest.raises(MutationError, match="missing edge"):
+        _apply_batch(g, "delete", [(0, 1), (2, 3)])
+    with pytest.raises(MutationError, match="missing edge"):
+        _apply_batch(g, "delete", [(0, 3)])
+    with pytest.raises(MutationError, match="existing edge"):
+        _apply_batch(g, "insert", [(0, 3), (1, 2)])
+    assert np.array_equal(g.indptr, before[0])
+    assert np.array_equal(g.indices, before[1])

@@ -90,6 +90,37 @@ class TestEdgeAccess:
         assert dag.max_out_degree == 5
 
 
+class TestEdgeIds:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agrees_with_scalar_edge_id_on_every_pair(self, seed):
+        g = gnm_random_graph(25, 70, seed=seed)
+        dag = orient_by_order(g, np.random.default_rng(seed).permutation(25))
+        us, vs = np.divmod(np.arange(25 * 25), 25)
+        expected = [dag.edge_id(int(u), int(v)) for u, v in zip(us, vs)]
+        got = dag.edge_ids(us, vs)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
+        assert (got >= 0).sum() == dag.num_edges
+
+    def test_first_and_last_edge_ids(self):
+        dag = orient_by_order(triangle_plus_tail(), np.arange(4))
+        us, vs = dag.edge_endpoints()
+        got = dag.edge_ids(us[[0, -1]], vs[[0, -1]])
+        assert got.tolist() == [0, dag.num_edges - 1]
+        # Absent pairs before the first key, after the last and between.
+        assert dag.edge_ids([0, 3, 1, 2], [0, 3, 0, 1]).tolist() == [-1] * 4
+
+    def test_out_of_range_pairs_are_absent(self):
+        # (0, 4) would pack to the key of (1, 0) without the range check.
+        dag = orient_by_order(triangle_plus_tail(), np.arange(4))
+        assert dag.edge_ids([0, -1, 4, 0], [4, 1, 0, -1]).tolist() == [-1] * 4
+
+    def test_empty_dag(self):
+        dag = orient_by_order(from_edges(np.empty((0, 2)), num_vertices=3), np.arange(3))
+        assert dag.edge_ids([0, 1], [1, 2]).tolist() == [-1, -1]
+        assert dag.edge_ids([], []).size == 0
+
+
 class TestCommunity:
     def test_triangle_community(self):
         g = triangle_plus_tail()

@@ -1,8 +1,13 @@
 """Unit tests for triangle listing and edge-community construction."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.fuzz.strategies import random_graphs
 from repro.graphs import (
     complete_graph,
     empty_graph,
@@ -11,6 +16,8 @@ from repro.graphs import (
     hypercube_graph,
     orient_by_order,
 )
+from repro.pram.primitives import log2p1
+from repro.pram.tracker import Tracker
 from repro.triangles import (
     build_communities,
     count_triangles,
@@ -67,6 +74,77 @@ class TestListTriangles:
 
     def test_empty(self):
         assert count_triangles(ident_dag(empty_graph(4))) == 0
+
+
+def brute_force_rows(dag):
+    """Every DAG triangle ``u < w < v`` by checking all vertex triples."""
+    rows = [
+        (u, w, v)
+        for u, w, v in itertools.combinations(range(dag.num_vertices), 3)
+        if dag.has_edge(u, w) and dag.has_edge(w, v) and dag.has_edge(u, v)
+    ]
+    return np.asarray(rows, dtype=np.int32).reshape(-1, 3)
+
+
+def merge_loop_work(dag):
+    """The charge of the per-edge merge-intersection loop, as reference.
+
+    ``|N+(u)| + |N+(w)|`` for every out-neighbour ``w`` of ``u`` but the
+    last, ``|N+(u)|`` when ``u`` has fewer than two out-neighbours.
+    """
+    work = 0.0
+    for u in range(dag.num_vertices):
+        out_u = dag.out_neighbors(u)
+        du = out_u.size
+        if du < 2:
+            work += du
+            continue
+        for w in out_u[:-1]:
+            work += du + dag.out_neighbors(int(w)).size
+    return work + dag.num_edges + dag.num_vertices
+
+
+def check_against_brute_force(dag):
+    tracker = Tracker()
+    tri = list_triangles(dag, tracker=tracker)
+    assert tri.dtype == np.int32
+    assert np.array_equal(tri, brute_force_rows(dag))
+    assert tracker.work == merge_loop_work(dag)
+    assert tracker.depth == 2 * log2p1(dag.num_vertices) ** 2 + 2
+
+
+class TestListTrianglesBruteForce:
+    @given(g=random_graphs(max_n=14), seed=st.integers(0, 2**16))
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_random_graphs_any_order(self, g, seed):
+        order = np.random.default_rng(seed).permutation(g.num_vertices)
+        check_against_brute_force(orient_by_order(g, order))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            empty_graph(0),
+            empty_graph(5),
+            from_edges([(0, 1)]),
+            from_edges([(0, i) for i in range(1, 9)]),
+            from_edges([(i, 8) for i in range(8)]),
+        ],
+        ids=["no-vertices", "no-edges", "single-edge", "star-out", "star-in"],
+    )
+    def test_degenerate_graphs(self, graph):
+        check_against_brute_force(ident_dag(graph))
+
+    def test_complete_graph_spans_several_chunks(self):
+        from repro.triangles.count import WEDGE_CHUNK
+
+        dag = ident_dag(complete_graph(80))
+        wedges = int((dag.out_degrees * (dag.out_degrees - 1) // 2).sum())
+        assert wedges == 82160 > WEDGE_CHUNK
+        check_against_brute_force(dag)
 
 
 class TestCommunities:
@@ -131,3 +209,10 @@ class TestCommunities:
         comms = build_communities(ident_dag(empty_graph(5)))
         assert comms.num_triangles == 0
         assert comms.max_size == 0
+
+    def test_triangle_off_the_dag_raises(self):
+        dag = ident_dag(from_edges([(0, 1), (1, 2), (2, 3), (0, 3)]))
+        # (0, 2) is not an edge of this DAG.
+        bad = np.asarray([[0, 1, 2]], dtype=np.int32)
+        with pytest.raises(ValueError, match=r"\(0, 2\) is not an edge"):
+            build_communities(dag, triangles=bad)
