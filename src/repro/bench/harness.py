@@ -50,13 +50,6 @@ ALGORITHMS: Dict[str, Callable] = {
     "c3list-cd-approx": lambda g, k, tr, prepared=None, budget=None: run_variant(
         g, k, "cd-best-depth", tr, prepared=prepared
     ),
-    "bitset": lambda g, k, tr, prepared=None, budget=None: count_cliques(
-        g,
-        k,
-        tracker=tr,
-        engine="bitset",
-        prepared=prepared if prepared is not None else PreparedGraph(g),
-    ),
     "frontier": lambda g, k, tr, prepared=None, budget=None: count_cliques(
         g,
         k,

@@ -727,15 +727,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default="auto",
-        help="executor: auto (default), reference, frontier, bitset, "
-        "process, or sharded",
+        help="executor: auto (default), reference, frontier or sharded",
     )
     p.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker processes for the process engine (workers > 1 makes "
-        "auto pick it)",
+        help="processes the frontier executor runs its plan's units on "
+        "(default: one; never changes the engine)",
     )
     p.add_argument(
         "--memory-budget",
@@ -761,9 +760,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=VARIANTS, default="best-work")
     p.add_argument(
         "--engine",
-        choices=("reference", "frontier"),
-        default="reference",
-        help="listing engine (the bitset/process engines only count)",
+        choices=ENGINES,
+        default="auto",
+        help="listing engine: auto (default), reference, frontier or sharded",
     )
     p.add_argument(
         "--kernelize",
@@ -1231,9 +1230,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("graph")
     q.add_argument("-k", type=int, required=True)
     q.add_argument("--variant", choices=VARIANTS, default="best-work")
-    q.add_argument(
-        "--engine", choices=("reference", "frontier"), default="reference"
-    )
+    q.add_argument("--engine", choices=ENGINES, default="auto")
     q.add_argument("--kernelize", action="store_true")
     q.add_argument("--limit", type=int, default=None)
 

@@ -9,7 +9,6 @@ from .densest import (
     per_vertex_clique_counts,
 )
 from .existence import clique_spectrum, find_clique, max_clique_size
-from .fast import fast_count_cliques
 from .motifs import count_cliques_triangle_growing
 from .parallel import count_cliques_parallel
 from .peeling import PeelResult, kclique_peel
@@ -59,7 +58,6 @@ __all__ = [
     "per_vertex_clique_counts",
     "kclique_densest_subgraph",
     "DensestResult",
-    "fast_count_cliques",
     "kclique_peel",
     "PeelResult",
     "estimate_clique_count",

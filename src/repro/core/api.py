@@ -22,15 +22,16 @@ Three serving concerns live here and nowhere else:
   same graph object build the order/orientation/communities exactly once.
   The first query on a graph is charged like a cold run; later ones
   charge only the search. Engine-level entry points (``run_variant``,
-  ``fast_count_cliques``, …) stay cold unless handed a context.
-* **Engine dispatch.** ``count_cliques`` routes to one of four
-  executors — ``reference`` (the instrumented Table-1 variants),
-  ``frontier`` (the level-synchronous vectorized engine of
-  :mod:`repro.core.frontier`), ``bitset`` (the packed-word kernel of
-  :mod:`repro.core.fast`), or ``process`` (real cores via
-  :mod:`repro.core.parallel`). The default ``auto`` resolves through
-  :func:`resolve_engine` — the *single* source of truth for dispatch,
-  which also reports why it picked what it picked.
+  ``frontier_count_cliques``, …) stay cold unless handed a context.
+* **Engine dispatch.** ``count_cliques`` and ``list_cliques`` route to
+  ``reference`` (the instrumented Table-1 variants) or to the one
+  frontier executor of :mod:`repro.core.frontier` over a shard plan:
+  ``frontier`` (one resident shard, the in-RAM tables) or ``sharded``
+  (memmapped source-range shards under a memory budget). ``workers``
+  only sets how many processes the plan's units run on. The default
+  ``auto`` resolves through :func:`resolve_engine` — the *single*
+  source of truth for dispatch, which also reports why it picked what
+  it picked.
 * **Kernelization.** ``kernelize=True`` pre-shrinks the instance with
   the triangle-support kernel (:mod:`repro.graphs.kernels`) before
   dispatching: every k-clique survives the reduction, witnesses are
@@ -47,15 +48,9 @@ from ..pram.schedule import TaskLog
 from ..pram.tracker import Tracker
 from .clique_listing import CliqueSearchResult
 from .existence import find_clique
-from .fast import fast_count_cliques
-from .frontier import frontier_count_cliques, frontier_list_cliques
-from .parallel import count_cliques_parallel
+from .frontier import execute, resident_plan
 from .prepared import PreparedGraph, prepare
-from .sharded import (
-    predict_table_bytes,
-    sharded_count_cliques,
-    sharded_list_cliques,
-)
+from .sharded import predict_table_bytes, spilled_plan
 from .recursive import SearchStats
 from .variants import VARIANTS, run_variant
 
@@ -69,14 +64,14 @@ __all__ = [
     "VARIANTS",
 ]
 
-ENGINES = ("auto", "reference", "frontier", "bitset", "process", "sharded")
+ENGINES = ("auto", "reference", "frontier", "sharded")
 
 
 class EngineDecision(str):
     """The engine a query resolved to, plus *why*.
 
     A plain ``str`` subclass, so every existing comparison
-    (``resolve_engine(...) == "process"``) keeps working unchanged; the
+    (``resolve_engine(...) == "frontier"``) keeps working unchanged; the
     extra ``reason`` attribute carries the dispatcher's justification,
     which ``repro profile`` and the bench records surface.
     """
@@ -104,53 +99,24 @@ def resolve_engine(
 
     This is the single source of truth for dispatch — the CLI, the bench
     harness and the profile report all call it rather than re-deriving
-    thresholds. The heuristic is calibrated against measured crossovers
-    (2026-08 recalibration, see ``docs/ALGORITHMS.md``):
+    thresholds — and the only place the predicted table bytes meet the
+    memory budget (calibration notes in ``docs/ALGORITHMS.md``):
 
-    * ``process`` when the caller asked for real cores (``workers > 1``);
     * ``reference`` for k < 4 (closed-form direct answers), for
       non-default variants, and for the ``prune=False`` ablation — those
       paths exist *for* the reference engine's instrumentation;
-    * ``frontier`` for everything else. The level-synchronous engine
-      beat the reference recursion 15–40× and the bitset kernel 50–100×
-      at every measured point of the Table-2 regime (k = 4…8, both
-      single- and multi-word candidate universes), so the old
-      bitset-kernel auto-pick is retired: ``bitset`` remains available
-      only by explicit request.
-
     * ``sharded`` when a ``memory_budget_bytes`` is armed and the full
-      frontier tables would not fit it: the out-of-core engine streams
-      table shards through a bounded window (``workers`` still fans the
-      shards out over processes). The memory leg outranks the
-      process/frontier legs — an engine that would blow the budget is
-      not a candidate — but only fires in the regime the frontier engine
-      would otherwise own (k ≥ 4, best-work, pruned).
+      frontier tables would not fit it: the frontier executor streams
+      source-range table shards through a bounded window;
+    * ``frontier`` for everything else: the executor over one resident
+      shard, which beat the reference recursion 15–40× at every
+      measured point of the Table-2 regime (k = 4…8).
 
+    ``workers`` never changes the engine; it only sets how many
+    processes the plan's units run on, and the reason says so.
     ``prepared``/``tracker`` are part of the stable signature so future
     recalibrations can consult graph shape without changing callers.
     """
-    if (
-        memory_budget_bytes is not None
-        and k >= 4
-        and variant == "best-work"
-        and prune
-    ):
-        dag = prepared.dag("degeneracy", tracker)
-        predicted = predict_table_bytes(dag.num_edges, dag.max_out_degree)
-        if predicted > memory_budget_bytes:
-            return EngineDecision(
-                "sharded",
-                f"predicted frontier tables ({predicted} B) exceed the "
-                f"memory budget ({memory_budget_bytes} B): stream "
-                "source-range table shards through a bounded window",
-            )
-    del prepared, tracker  # remaining crossovers are shape-independent
-    if workers is not None and workers > 1:
-        return EngineDecision(
-            "process",
-            f"workers={workers} > 1: real cores beat any single-process "
-            "engine on CPython",
-        )
     if k < 4:
         return EngineDecision(
             "reference",
@@ -169,12 +135,35 @@ def resolve_engine(
             "prune=False ablation: only the reference engine runs without "
             "the relevant-pair criterion's instrumentation",
         )
+    fanout = (
+        f"; plan units fan out over workers={workers} processes"
+        if workers is not None and workers > 1
+        else ""
+    )
+    if memory_budget_bytes is not None:
+        dag = prepared.dag("degeneracy", tracker)
+        predicted = predict_table_bytes(dag.num_edges, dag.max_out_degree)
+        if predicted > memory_budget_bytes:
+            return EngineDecision(
+                "sharded",
+                f"predicted frontier tables ({predicted} B) exceed the "
+                f"memory budget ({memory_budget_bytes} B): stream "
+                "source-range table shards through a bounded window"
+                + fanout,
+            )
     return EngineDecision(
         "frontier",
         "best-work counting at k >= 4: the level-synchronous frontier "
-        "engine wins every measured crossover (15-40x vs reference, "
-        "50-100x vs bitset)",
+        "engine wins every measured crossover (15-40x vs reference)"
+        + fanout,
     )
+
+
+def _plan(engine: str, memory_budget_bytes: Optional[int]):
+    """The shard-plan opener an engine label runs the executor on."""
+    if engine == "sharded":
+        return spilled_plan(memory_budget_bytes)
+    return resident_plan
 
 
 def _synthesize_result(
@@ -274,14 +263,15 @@ def count_cliques(
     prune:
         Disable the relevant-pair criterion with ``False`` (ablation).
     engine:
-        ``auto`` (default), ``reference``, ``frontier``, ``bitset``, or
-        ``process``. The non-reference engines return only the count plus
+        ``auto`` (default), ``reference``, ``frontier`` or ``sharded``.
+        The frontier-executor engines return only the count plus
         preprocessing metadata (their search is untracked; ``stats`` are
         zero). The resolved engine and the dispatcher's justification are
         recorded on the result (``engine``/``engine_reason``).
     workers:
-        Worker-process count for the ``process`` engine; ``workers > 1``
-        makes ``auto`` pick it.
+        How many processes the frontier executor runs its plan's units
+        on (default: one, in this process). It never changes the engine;
+        the reference engine always runs in this process.
     prepared:
         A shared preprocessing context. Default: the façade's LRU cache,
         so repeated queries on the same graph amortize preprocessing.
@@ -294,8 +284,8 @@ def count_cliques(
         Resident-table budget (``None`` = unlimited, the default). When
         the predicted frontier tables exceed it, ``auto`` dispatches to
         the out-of-core ``sharded`` engine; an explicit
-        ``engine="sharded"`` or ``engine="process"`` request also honors
-        the budget. The CLI's ``--memory-budget 512M`` flag feeds this.
+        ``engine="sharded"`` request also honors the budget. The CLI's
+        ``--memory-budget 512M`` flag feeds this.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
@@ -318,28 +308,10 @@ def count_cliques(
     else:
         reason = f"engine {engine!r} explicitly requested"
 
-    if engine == "sharded":
-        count = sharded_count_cliques(
-            graph, k, memory_budget_bytes=memory_budget_bytes,
-            prepared=ctx, tracker=tracker, prune=prune, workers=workers,
-        )
-        return _synthesize_result(ctx, k, count, tracker, engine, reason)
-    if engine == "frontier":
-        count = frontier_count_cliques(
-            graph, k, prepared=ctx, tracker=tracker, prune=prune
-        )
-        return _synthesize_result(ctx, k, count, tracker, engine, reason)
-    if engine == "bitset":
-        count = fast_count_cliques(graph, k, prepared=ctx, tracker=tracker)
-        return _synthesize_result(ctx, k, count, tracker, engine, reason)
-    if engine == "process":
-        # Workers run the vectorized frontier kernel over their slices
-        # wherever it applies (same regime as the sequential dispatch);
-        # the prune=False ablation keeps the recursive workers.
-        count = count_cliques_parallel(
-            graph, k, n_workers=workers, tracker=tracker, prepared=ctx,
-            engine="frontier" if (k >= 4 and prune) else "reference",
-            memory_budget_bytes=memory_budget_bytes,
+    if engine != "reference":
+        count, _ = execute(
+            graph, k, ctx, tracker, _plan(engine, memory_budget_bytes),
+            prune=prune, workers=workers,
         )
         return _synthesize_result(ctx, k, count, tracker, engine, reason)
     result = run_variant(
@@ -358,7 +330,7 @@ def list_cliques(
     eps: float = 0.5,
     tracker: Optional[Tracker] = None,
     prepared: Optional[PreparedGraph] = None,
-    engine: str = "reference",
+    engine: str = "auto",
     kernelize: bool = False,
     memory_budget_bytes: Optional[int] = None,
 ) -> List[Tuple[int, ...]]:
@@ -373,21 +345,17 @@ def list_cliques(
     the hot path, so this function returns the listing as-is and a test
     asserts the canonical order instead.
 
-    ``engine`` is ``reference`` (default, the instrumented path),
-    ``frontier`` (the vectorized level-synchronous lister), or
-    ``sharded`` (the out-of-core lister — table blocks streamed under
-    ``memory_budget_bytes``); the bitset and process engines only count.
-    A ``frontier`` request with a budget its tables would not fit is
-    upgraded to ``sharded`` — same output, bounded tables. With
+    ``engine`` is one of :data:`ENGINES`, resolved like
+    :func:`count_cliques`: ``auto`` (default) asks
+    :func:`resolve_engine`, so k ≥ 4 lists on the frontier executor and
+    a ``memory_budget_bytes`` its tables would not fit streams
+    ``sharded`` shards; ``reference`` is the instrumented path. With
     ``kernelize=True`` the listing runs on the triangle-support kernel
     and every witness is lifted back to original vertex ids
     (re-canonicalized after lifting).
     """
-    if engine not in ("reference", "frontier", "sharded"):
-        raise ValueError(
-            f"listing supports engines ('reference', 'frontier', "
-            f"'sharded'), got {engine!r}"
-        )
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     tracker = tracker if tracker is not None else Tracker()
     ctx = prepared if prepared is not None else prepare(
         graph, eps=eps, tracker=tracker
@@ -399,24 +367,18 @@ def list_cliques(
     if kernelize:
         graph, ctx, kern = _kernelized(graph, ctx, k, tracker)
 
-    if (
-        engine == "frontier"
-        and memory_budget_bytes is not None
-        and k >= 4
-    ):
-        dag = ctx.dag("degeneracy", tracker)
-        if (
-            predict_table_bytes(dag.num_edges, dag.max_out_degree)
-            > memory_budget_bytes
-        ):
-            engine = "sharded"
-    if engine == "sharded":
-        listed = sharded_list_cliques(
-            graph, k, memory_budget_bytes=memory_budget_bytes,
-            prepared=ctx, tracker=tracker,
+    if engine == "auto":
+        engine = str(
+            resolve_engine(
+                ctx, k, variant, True, None, tracker,
+                memory_budget_bytes=memory_budget_bytes,
+            )
         )
-    elif engine == "frontier":
-        listed = frontier_list_cliques(graph, k, prepared=ctx, tracker=tracker)
+    if engine != "reference":
+        _, listed = execute(
+            graph, k, ctx, tracker, _plan(engine, memory_budget_bytes),
+            listing=True,
+        )
     else:
         result = run_variant(
             graph, k, variant, tracker, eps=eps, collect=True, prepared=ctx

@@ -16,8 +16,7 @@ A partial clique at parameter ``c`` is a pair ``(base, mask)``:
 
 * ``base`` — the row offset of its top-level source vertex ``u``: the
   members of its candidate set live in the renamed universe
-  ``N⁺(u) = 0..outdeg(u)-1``, exactly the renaming the bitset kernel
-  (:mod:`repro.core.fast`) uses per source vertex;
+  ``N⁺(u) = 0..outdeg(u)-1``;
 * ``mask`` — the candidate set as packed uint64 words over that universe
   (all masks padded to the global width ``ceil(s̃/64)``).
 
@@ -47,32 +46,51 @@ One round at parameter ``c ≥ 3`` (the body of :func:`_drive`):
 4. child masks = ``(mask & rows[w]) & rows_in[x]`` — the step-2 AND
    reused, one more gathered AND — kept where ``popcount ≥ c−2``.
 
-``c ∈ {1, 2}`` are closed-form leaf rounds (popcounts). Like the bitset
-kernel, the search itself is untracked — a tracker passed to the entry
-points only accounts the shared preprocessing — but the frontier shape
-is observable: ``frontier.rounds``, ``frontier.width``,
+``c ∈ {1, 2}`` are closed-form leaf rounds (popcounts).
+
+The executor
+------------
+A drive rooted at the eligible edges of source ``u`` reads only the
+table rows of ``N⁺(u)``, so Algorithm 1's per-edge subproblems split
+along any source range. :func:`execute` serves every frontier query over
+a *shard plan*: a list of source-range shards, each a self-contained
+table block. The in-RAM plan (:func:`resident_plan`) is one resident
+shard, the memoized tables themselves; the budgeted plan
+(:func:`repro.core.sharded.spilled_plan`) streams memmapped blocks built
+on demand. The executor owns the k ≤ 3 closed forms, drives each shard's
+eligible edges once for counts and canonical listings, and with
+``workers > 1`` fans contiguous chunks of eligible edges, weighted by
+community size, out over processes.
+
+The search itself is untracked — a tracker passed to the entry points
+only accounts the shared preprocessing — but the frontier shape is
+observable: ``frontier.rounds``, ``frontier.width``,
 ``frontier.peak_width``, ``frontier.pairs`` and ``frontier.children``
 land in the tracker's metrics registry when one is attached.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import time
+from contextlib import nullcontext
+from typing import Any, Callable, ContextManager, List, Optional, Tuple
 
 import numpy as np
 
 from ..graphs.bitset import popcount_rows, set_bits_2d
 from ..graphs.csr import CSRGraph
 from ..graphs.digraph import OrientedDAG
+from ..pram.executor import parallel_map_reduce, worker_state
 from ..pram.tracker import NULL_TRACKER, Tracker
 from .prepared import PreparedGraph
 
 __all__ = [
     "FrontierTables",
     "build_frontier_tables",
+    "execute",
+    "resident_plan",
     "frontier_count_cliques",
     "frontier_list_cliques",
-    "count_frontier_slice",
 ]
 
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
@@ -92,7 +110,7 @@ class FrontierTables:
     ``ceil(s̃/64)``.
 
     Immutable: the three arrays are sealed read-only by
-    :func:`build_frontier_tables`, so process workers can share the
+    :func:`build_frontier_tables`, so forked workers can share the
     tables copy-on-write and a stray in-place write raises instead of
     silently corrupting every sibling worker.
     """
@@ -265,50 +283,218 @@ def _drive(
     return total, np.empty((0, prefixes.shape[1]), dtype=prefixes.dtype)
 
 
-def count_frontier_slice(
-    tables: FrontierTables,
-    eligible: np.ndarray,
-    c: int,
-    prune: bool = True,
-    metrics=None,
-) -> int:
-    """Count the cliques rooted at a slice of eligible edges (no listing).
 
-    The process-parallel wrapper fans the eligible-edge range out in
-    chunks; each worker calls this on its slice against the shared
-    (copy-on-write) tables. The out-of-core engine drives it per shard
-    block — ``metrics`` (optional) lets those streamed drives record the
-    ``frontier.*`` instruments like the monolithic path does.
 
-    Frozen: tables
+# -- the executor: one drive per shard of a plan ----------------------------
+
+
+class _Resident:
+    """The in-RAM tables as a plan of one shard, served without a copy."""
+
+    spilled = False
+
+    def __init__(self, tables: FrontierTables) -> None:
+        self.tables = tables
+        self.edge_bounds = np.array([0, tables.rows.shape[0]], dtype=np.int64)
+
+    def block(self, index: int, metrics: Any = None) -> FrontierTables:
+        return self.tables
+
+    def evict_all(self) -> int:
+        return 0
+
+
+def resident_plan(ctx: PreparedGraph, tracker: Tracker) -> ContextManager[Any]:
+    """Open the in-RAM plan: the memoized tables as one resident shard."""
+    return nullcontext(_Resident(ctx.frontier_tables("degeneracy", tracker)))
+
+
+def _canonical(rows: np.ndarray) -> List[Tuple[int, ...]]:
+    """Clique rows as sorted tuples in lexicographic order.
+
+    The reference engine's listing form, so every engine's output diffs
+    clean against it.
     """
-    eids = np.asarray(eligible, dtype=np.int64)
-    total, _ = _drive(
+    rows = np.sort(rows, axis=1)
+    order = np.lexsort(rows.T[::-1])
+    return list(map(tuple, rows[order].tolist()))
+
+
+def _drive_shard(
+    state: Tuple[Any, ...],
+    index: int,
+    lo: int,
+    hi: int,
+    c: int,
+    prune: bool,
+    metrics: Any,
+) -> Tuple[int, Optional[np.ndarray]]:
+    """Drive eligible edges ``[lo, hi)``, all in shard ``index``.
+
+    Frozen: state
+    """
+    source, out_indices, eligible, _, prefixes = state
+    tables = source.block(index, metrics=metrics)
+    e0, e1 = source.edge_bounds[index], source.edge_bounds[index + 1]
+    local = eligible[lo:hi] - e0
+    return _drive(
         tables,
-        tables.base[eids],
-        tables.rows_in[eids],
+        tables.base[local],
+        tables.rows_in[local],
         c,
         prune=prune,
+        prefixes=None if prefixes is None else prefixes[lo:hi],
+        out_indices=out_indices[e0:e1],
         metrics=metrics,
     )
-    return total
 
 
-def _setup(
+def _run_units(
+    state: Tuple[Any, ...],
+    lo: int,
+    hi: int,
+    c: int,
+    prune: bool,
+    verify: bool,
+    metrics: Any = None,
+) -> Tuple[int, List[np.ndarray]]:
+    """Drive eligible edges ``[lo, hi)`` shard by shard.
+
+    Returns the count and the listed row blocks (none when counting).
+    ``verify`` re-counts each shard's slice as two halves and asserts
+    the sums agree: the disjoint-union additivity the plan rests on.
+
+    Frozen: state
+    """
+    source, _, _, bounds, _ = state
+    total = 0
+    pieces: List[np.ndarray] = []
+    walls: List[float] = []
+    for index in range(bounds.size - 1):
+        a, b = max(lo, int(bounds[index])), min(hi, int(bounds[index + 1]))
+        if a >= b:
+            continue
+        t0 = time.perf_counter()
+        got, rows = _drive_shard(state, index, a, b, c, prune, metrics)
+        if verify and b - a > 1:
+            mid = (a + b) // 2
+            left, _ = _drive_shard(state, index, a, mid, c, prune, None)
+            right, _ = _drive_shard(state, index, mid, b, c, prune, None)
+            if left + right != got:
+                raise AssertionError(
+                    f"shard {index}: additivity violated "
+                    f"({left} + {right} != {got})"
+                )
+        walls.append(time.perf_counter() - t0)
+        total += got
+        if rows is not None and rows.shape[0]:
+            pieces.append(rows)
+    if metrics is not None and source.spilled and walls:
+        mean = sum(walls) / len(walls)
+        if mean > 0:
+            metrics.gauge("shard.wall_imbalance").set_max(max(walls) / mean)
+    return total, pieces
+
+
+def _plan_worker(
+    chunk: np.ndarray, c: int, prune: bool, verify: bool
+) -> Tuple[int, List[np.ndarray]]:
+    """Process-pool worker: drive one contiguous chunk of eligible edges.
+
+    Each forked child builds the blocks its chunk needs through its own
+    window (spill filenames are pid-scoped, so siblings never collide)
+    and evicts them when done.
+    """
+    state = worker_state()
+    try:
+        return _run_units(state, int(chunk[0]), int(chunk[-1]) + 1, c, prune, verify)
+    finally:
+        state[0].evict_all()
+
+
+def _merge(
+    a: Tuple[int, List[np.ndarray]], b: Tuple[int, List[np.ndarray]]
+) -> Tuple[int, List[np.ndarray]]:
+    return a[0] + b[0], a[1] + b[1]
+
+
+def execute(
     graph: CSRGraph,
     k: int,
-    prepared: Optional[PreparedGraph],
-    tracker: Tracker,
-):
-    """Shared entry validation + preprocessing for count/list."""
+    prepared: Optional[PreparedGraph] = None,
+    tracker: Tracker = NULL_TRACKER,
+    open_plan: Callable[[PreparedGraph, Tracker], ContextManager[Any]] = resident_plan,
+    prune: bool = True,
+    workers: Optional[int] = None,
+    listing: bool = False,
+    verify: bool = False,
+) -> Tuple[int, Optional[List[Tuple[int, ...]]]]:
+    """Count (or canonically list) k-cliques over a shard plan.
+
+    Returns ``(count, listing)``; ``listing`` is ``None`` unless
+    ``listing=True``. k ≤ 3 are closed forms. For k ≥ 4, ``open_plan``
+    yields the plan's tables: :func:`resident_plan` (the default) or the
+    budgeted :func:`repro.core.sharded.spilled_plan`. Each shard's
+    eligible edges are driven once. ``workers > 1`` fans contiguous
+    chunks of eligible edges, weighted by community size, out over
+    processes; otherwise everything runs in this process.
+    """
     if k < 1:
         raise ValueError(f"clique size must be >= 1, got {k}")
+    n = graph.num_vertices
+    if k == 1:
+        return n, [(v,) for v in range(n)] if listing else None
+    if k == 2:
+        if not listing:
+            return graph.num_edges, None
+        us, vs = graph.edge_array()
+        return graph.num_edges, _canonical(np.stack([us, vs], axis=1))
     ctx = prepared if prepared is not None else PreparedGraph(graph)
     if ctx.graph is not graph:
         raise ValueError("prepared context was built for a different graph")
     dag = ctx.dag("degeneracy", tracker)
+    if k == 3 and listing:
+        tri = ctx.triangles("degeneracy", tracker)
+        return int(tri.shape[0]), _canonical(dag.original_ids[tri])
     comms = ctx.communities("degeneracy", tracker)
-    return ctx, dag, comms
+    if k == 3:
+        return comms.num_triangles, None
+    eligible = np.flatnonzero(comms.sizes >= (k - 2))
+    if eligible.size == 0:
+        return 0, [] if listing else None
+    prefixes = None
+    if listing:
+        us, vs = dag.edge_endpoints()
+        prefixes = np.stack([us[eligible], vs[eligible]], axis=1).astype(np.int64)
+    metrics = tracker.metrics
+    with open_plan(ctx, tracker) as source:
+        if metrics is not None and source.spilled:
+            metrics.gauge("shard.count").set(source.edge_bounds.size - 1)
+        bounds = np.searchsorted(eligible, source.edge_bounds)
+        state = (source, dag.out_indices, eligible, bounds, prefixes)
+        if workers is not None and workers > 1:
+            got = parallel_map_reduce(
+                _plan_worker,
+                int(eligible.size),
+                args=(k - 2, prune, verify),
+                combine=_merge,
+                n_workers=workers,
+                state=state,
+                initial=(0, []),
+                tracker=tracker,
+                weights=comms.sizes[eligible].astype(np.float64),
+            )
+            assert got is not None
+            total, pieces = got
+        else:
+            total, pieces = _run_units(
+                state, 0, int(eligible.size), k - 2, prune, verify, metrics
+            )
+    if not listing:
+        return total, None
+    if not pieces:
+        return total, []
+    return total, _canonical(dag.original_ids[np.concatenate(pieces)])
 
 
 def frontier_count_cliques(
@@ -318,7 +504,7 @@ def frontier_count_cliques(
     tracker: Tracker = NULL_TRACKER,
     prune: bool = True,
 ) -> int:
-    """Count k-cliques with the level-synchronous frontier engine.
+    """Count k-cliques over the in-RAM tables.
 
     Bit-identical to the reference engine (asserted across the test suite
     and ``repro selfcheck``). ``tracker`` is charged for preprocessing
@@ -326,29 +512,7 @@ def frontier_count_cliques(
     model is the reference engine's — this engine exists to make the same
     computation fast).
     """
-    n = graph.num_vertices
-    if k < 1:
-        raise ValueError(f"clique size must be >= 1, got {k}")
-    if k == 1:
-        return n
-    if k == 2:
-        return graph.num_edges
-    ctx, dag, comms = _setup(graph, k, prepared, tracker)
-    if k == 3:
-        return comms.num_triangles
-    eligible = np.flatnonzero(comms.sizes >= (k - 2))
-    if eligible.size == 0:
-        return 0
-    tables = ctx.frontier_tables("degeneracy", tracker)
-    total, _ = _drive(
-        tables,
-        tables.base[eligible],
-        tables.rows_in[eligible],
-        k - 2,
-        prune=prune,
-        metrics=tracker.metrics,
-    )
-    return total
+    return execute(graph, k, prepared, tracker, prune=prune)[0]
 
 
 def frontier_list_cliques(
@@ -363,50 +527,6 @@ def frontier_list_cliques(
     of original vertex ids, the list sorted — the canonical form
     ``run_variant`` produces, so the two engines' outputs diff clean.
     """
-    if k < 1:
-        raise ValueError(f"clique size must be >= 1, got {k}")
-    if k == 1:
-        return [(v,) for v in range(graph.num_vertices)]
-    if k == 2:
-        us, vs = graph.edge_array()
-        return sorted(
-            (int(u), int(v)) if u < v else (int(v), int(u))
-            for u, v in zip(us, vs)
-        )
-    ctx, dag, comms = _setup(graph, k, prepared, tracker)
-    orig = dag.original_ids.astype(np.int64)
-    if k == 3:
-        us, vs = dag.edge_endpoints()
-        out: List[Tuple[int, ...]] = []
-        for eid in range(dag.num_edges):
-            for w in comms.of(eid).tolist():
-                out.append(
-                    tuple(
-                        sorted(
-                            (int(orig[us[eid]]), int(orig[w]), int(orig[vs[eid]]))
-                        )
-                    )
-                )
-        out.sort()
-        return out
-    eligible = np.flatnonzero(comms.sizes >= (k - 2))
-    if eligible.size == 0:
-        return []
-    tables = ctx.frontier_tables("degeneracy", tracker)
-    us, vs = dag.edge_endpoints()
-    prefixes = np.stack(
-        [us[eligible].astype(np.int64), vs[eligible].astype(np.int64)], axis=1
-    )
-    _, rows = _drive(
-        tables,
-        tables.base[eligible],
-        tables.rows_in[eligible],
-        k - 2,
-        prune=True,
-        prefixes=prefixes,
-        out_indices=dag.out_indices.astype(np.int64),
-        metrics=tracker.metrics,
-    )
-    assert rows is not None
-    canonical = np.sort(orig[rows], axis=1)
-    return sorted(map(tuple, canonical.tolist()))
+    listed = execute(graph, k, prepared, tracker, listing=True)[1]
+    assert listed is not None
+    return listed

@@ -1,24 +1,19 @@
-"""Process-parallel clique counting: real cores for the outer edge loop.
+"""Process-parallel reference counting: real cores for the outer edge loop.
 
 Algorithm 1's outer loop is embarrassingly parallel over the eligible
 edges. Under CPython, threads cannot exploit that (GIL), but forked
-processes can: this wrapper builds the shared read-only state once and
-fans the eligible-edge range out with
-:func:`repro.pram.executor.parallel_map_reduce`, delivering the state to
-workers through the executor's ``state=`` channel (never a module global
-— a global is clobbered by re-entrant calls and is invisible under a
-spawn start method; lint rule R2 enforces this).
+processes can: this wrapper builds the shared read-only state once (DAG
++ communities) and fans the eligible-edge range out with
+:func:`repro.pram.executor.parallel_map_reduce`, each worker recursing
+edge by edge with :func:`repro.core.recursive.recursive_count`. The
+state reaches workers through the executor's ``state=`` channel (never a
+module global — a global is clobbered by re-entrant calls and is
+invisible under a spawn start method; lint rule R2 enforces this).
 
-Two worker kinds share the fan-out:
-
-* ``engine="reference"`` — each worker recurses edge-by-edge with
-  :func:`repro.core.recursive.recursive_count` over its slice of the
-  eligible range (shared state: DAG + communities);
-* ``engine="frontier"`` — each worker drives the level-synchronous
-  engine over its *frontier slice* via
-  :func:`repro.core.frontier.count_frontier_slice` (shared state: the
-  edge-indexed frontier tables), so the per-worker inner loop is O(k)
-  numpy rounds instead of per-clique recursion.
+The frontier engine fans out through its own executor
+(:func:`repro.core.frontier.execute` with ``workers > 1``); this module
+keeps the instrumented recursion on processes, the path the ``process``
+fuzz oracle and the CREW sanitizer tests exercise.
 
 Chunks are weighted by community size (the paper's per-edge work bound
 is a function of |C(u,v)|), so a few heavy communities don't serialize
@@ -39,13 +34,10 @@ from ..orders.degeneracy import degeneracy_order
 from ..pram.executor import parallel_map_reduce, worker_state
 from ..pram.tracker import NULL_TRACKER, Tracker
 from ..triangles.communities import EdgeCommunities, build_communities
-from .frontier import FrontierTables, count_frontier_slice
 from .prepared import PreparedGraph
 from .recursive import SearchStats, recursive_count
 
 __all__ = ["count_cliques_parallel"]
-
-_PARALLEL_ENGINES = ("reference", "frontier")
 
 
 def _worker(chunk: np.ndarray, k: int) -> int:
@@ -64,21 +56,12 @@ def _worker(chunk: np.ndarray, k: int) -> int:
     return total
 
 
-def _frontier_worker(chunk: np.ndarray, k: int) -> int:
-    tables: FrontierTables
-    eligible: np.ndarray
-    tables, eligible = worker_state()
-    return count_frontier_slice(tables, eligible[chunk], k - 2)
-
-
 def count_cliques_parallel(
     graph: CSRGraph,
     k: int,
     n_workers: Optional[int] = None,
     tracker: Optional[Tracker] = None,
     prepared: Optional[PreparedGraph] = None,
-    engine: str = "reference",
-    memory_budget_bytes: Optional[int] = None,
 ) -> int:
     """Count k-cliques with the outer edge loop on real processes.
 
@@ -88,22 +71,7 @@ def count_cliques_parallel(
     the CREW-checked sequential path, proving the dispatch race-free.
     ``prepared`` reuses the shared DAG/communities — the read-only state
     forked (or pickled) to workers is identical either way.
-
-    ``engine`` selects the per-worker kernel: ``reference`` (default,
-    the instrumented recursion) or ``frontier`` (level-synchronous
-    vectorized slices — what the façade uses for k ≥ 4).
-
-    ``memory_budget_bytes`` bounds the resident frontier tables: when
-    the ``frontier`` kernel's full tables would exceed it, the fan-out
-    delegates to the out-of-core sharded engine (same worker pool, whole
-    table shards as the unit of distribution) instead of materializing
-    O(m·γ) bytes in the parent and every fork.
     """
-    if engine not in _PARALLEL_ENGINES:
-        raise ValueError(
-            f"unknown parallel engine {engine!r}; "
-            f"choose from {_PARALLEL_ENGINES}"
-        )
     if k < 1:
         raise ValueError(f"clique size must be >= 1, got {k}")
     n = graph.num_vertices
@@ -112,18 +80,12 @@ def count_cliques_parallel(
     if k == 2:
         return graph.num_edges
 
-    prep_tracker = tracker if tracker is not None else NULL_TRACKER
-    ctx = prepared
-    if ctx is None and engine == "frontier":
-        # The frontier tables hang off a preprocessing context; a cold
-        # call builds a private one (the DAG/communities below come from
-        # it, so nothing is computed twice).
-        ctx = PreparedGraph(graph)
-    if ctx is not None:
-        if ctx.graph is not graph:
+    if prepared is not None:
+        if prepared.graph is not graph:
             raise ValueError("prepared context was built for a different graph")
-        dag = ctx.dag("degeneracy", prep_tracker)
-        comms = ctx.communities("degeneracy", prep_tracker)
+        prep_tracker = tracker if tracker is not None else NULL_TRACKER
+        dag = prepared.dag("degeneracy", prep_tracker)
+        comms = prepared.communities("degeneracy", prep_tracker)
     else:
         order = degeneracy_order(graph).order
         dag = orient_by_order(graph, order)
@@ -134,45 +96,15 @@ def count_cliques_parallel(
     eligible = np.flatnonzero(comms.sizes >= (k - 2))
     # Per-edge work scales with community size (Lemma 3.2's bound), so
     # weight the contiguous chunks by it rather than by edge count.
-    weights = comms.sizes[eligible].astype(np.float64)
-    if engine == "frontier" and memory_budget_bytes is not None:
-        from .sharded import predict_table_bytes, sharded_count_cliques
-
-        if (
-            predict_table_bytes(dag.num_edges, dag.max_out_degree)
-            > memory_budget_bytes
-        ):
-            return sharded_count_cliques(
-                graph,
-                k,
-                memory_budget_bytes=memory_budget_bytes,
-                prepared=ctx,
-                tracker=prep_tracker,
-                workers=n_workers,
-            )
-    if engine == "frontier":
-        assert ctx is not None
-        tables = ctx.frontier_tables("degeneracy", prep_tracker)
-        total = parallel_map_reduce(
-            _frontier_worker,
-            int(eligible.size),
-            args=(k,),
-            n_workers=n_workers,
-            state=(tables, eligible),
-            initial=0,
-            tracker=tracker,
-            weights=weights,
-        )
-    else:
-        total = parallel_map_reduce(
-            _worker,
-            int(eligible.size),
-            args=(k,),
-            n_workers=n_workers,
-            state=(dag, comms, eligible),
-            initial=0,
-            tracker=tracker,
-            weights=weights,
-        )
+    total = parallel_map_reduce(
+        _worker,
+        int(eligible.size),
+        args=(k,),
+        n_workers=n_workers,
+        state=(dag, comms, eligible),
+        initial=0,
+        tracker=tracker,
+        weights=comms.sizes[eligible].astype(np.float64),
+    )
     assert total is not None  # initial=0 makes the empty reduction explicit
     return int(total)

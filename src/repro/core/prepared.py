@@ -32,7 +32,7 @@ public façade (:mod:`repro.core.api`) uses by default: ``prepare(g)``
 returns one shared context per live graph object (graphs are immutable
 and identity-hashed), so repeated API queries against the same graph
 amortize preprocessing with no caller cooperation. Engine-level entry
-points (``run_variant``, ``fast_count_cliques``, …) stay *cold* unless
+points (``run_variant``, ``frontier_count_cliques``, …) stay *cold* unless
 a context is passed explicitly — benchmarks compare cold and warm runs
 on purpose.
 
@@ -549,10 +549,6 @@ class PreparedGraph:
     ) -> int:
         """γ — the largest community size under the chosen order."""
         return self.communities(variant, tracker).max_size
-
-    def bitset_words(self, tracker: Tracker = NULL_TRACKER) -> int:
-        """uint64 words a candidate bitset of the largest community spans."""
-        return (self.gamma("degeneracy", tracker) + 63) // 64
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         g = self.graph

@@ -15,12 +15,10 @@ every mask derived from an edge of ``u`` renames candidates within
 out_indptr[u]``. So the table block of a contiguous source range
 ``[v_lo, v_hi)`` — the edge rows ``[e0, e1) = [out_indptr[v_lo],
 out_indptr[v_hi])`` — is fully self-contained: rebase the row offsets by
-``-e0`` and the unmodified level-synchronous drive
-(:func:`repro.core.frontier.count_frontier_slice`) runs on the block as
+``-e0`` and the unmodified level-synchronous drive runs on the block as
 if it were a whole graph's tables. Clique counting is additive over the
-disjoint union of per-source-edge subproblems (the decomposition the
-process-parallel wrapper already exploits), so the global count is the
-sum of per-shard counts — bit-identical to the in-RAM engine.
+disjoint union of per-source-edge subproblems, so the global count is
+the sum of per-shard counts — bit-identical to the in-RAM engine.
 
 The machinery
 -------------
@@ -34,11 +32,13 @@ The machinery
   (:class:`SpillDir`), keeps at most ``window`` blocks mapped (LRU), and
   evicts the rest — eviction drops the mapping and unlinks the scratch
   file, so the resident footprint tracks the budget, not the graph.
-* :func:`sharded_count_cliques` / :func:`sharded_list_cliques` stream
-  the eligible-edge slices shard by shard (or fan shards out over the
-  weighted process executor), with optional per-shard verification
-  against the disjoint-union additivity oracle (``verify=True`` re-counts
-  each shard as two half-slices and asserts the sums agree).
+* :func:`spilled_plan` hands those blocks to the one frontier executor
+  (:func:`repro.core.frontier.execute`), which drives each shard's
+  eligible edges in turn or fans them out over processes;
+  :func:`sharded_count_cliques` / :func:`sharded_list_cliques` are its
+  budgeted entry points, with optional per-shard verification against
+  the disjoint-union additivity oracle (``verify=True`` re-counts each
+  shard as two half-slices and asserts the sums agree).
 
 Observability: ``shard.count``, ``shard.bytes.built``,
 ``shard.bytes.spilled``, ``shard.bytes.resident``,
@@ -54,22 +54,17 @@ import re
 import shutil
 import tempfile
 import threading
-import time
 import weakref
 from collections import OrderedDict
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, ContextManager, List, Optional, Tuple
 
 import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..pram.tracker import NULL_TRACKER, Tracker
-from .frontier import (
-    _BITS,
-    FrontierTables,
-    _drive,
-    count_frontier_slice,
-)
+from .frontier import _BITS, FrontierTables, execute
 from .prepared import PreparedGraph
 
 __all__ = [
@@ -80,6 +75,7 @@ __all__ = [
     "plan_shards",
     "SpillDir",
     "ShardedTables",
+    "spilled_plan",
     "sharded_count_cliques",
     "sharded_list_cliques",
 ]
@@ -314,6 +310,10 @@ class ShardedTables:
     block its parent (or sibling) is still reading.
     """
 
+    # A plan source of :func:`repro.core.frontier.execute`: its blocks
+    # are built into spill files, so it reports the ``shard.*`` metrics.
+    spilled = True
+
     def __init__(
         self,
         dag: Any,
@@ -334,6 +334,10 @@ class ShardedTables:
         self._blocks: "OrderedDict[int, _Block]" = OrderedDict()
         self.bytes_built = 0
         self.evictions = 0
+        # First edge row of every shard, then m: where the executor cuts.
+        self.edge_bounds = np.array(
+            [s.e0 for s in plan.shards] + [plan.num_edges], dtype=np.int64
+        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -476,106 +480,42 @@ class ShardedTables:
             return block.tables
 
 
-def _eligible_bounds(
-    eligible: np.ndarray, plan: ShardPlan
-) -> np.ndarray:
-    """Index of the first eligible edge at or past each shard boundary."""
-    edges = np.fromiter(
-        (s.e0 for s in plan.shards), dtype=np.int64, count=plan.num_shards
-    )
-    bounds = np.searchsorted(eligible, edges)
-    return np.append(bounds, eligible.size)
-
-
-def _count_shard(
-    sharded: ShardedTables,
-    index: int,
-    eligible_local: np.ndarray,
-    c: int,
-    prune: bool,
-    verify: bool,
-    metrics: Any = None,
-) -> int:
-    """Count one shard's slice, optionally re-proving additivity on it."""
-    tables = sharded.block(index, metrics=metrics)
-    total = count_frontier_slice(
-        tables, eligible_local, c, prune=prune, metrics=metrics
-    )
-    if verify and eligible_local.size > 1:
-        # Disjoint-union additivity oracle: the slice's count must equal
-        # the sum over any partition of the slice — recount as halves.
-        mid = eligible_local.size // 2
-        lo = count_frontier_slice(tables, eligible_local[:mid], c, prune=prune)
-        hi = count_frontier_slice(tables, eligible_local[mid:], c, prune=prune)
-        if lo + hi != total:
-            raise AssertionError(
-                f"shard {index}: additivity violated "
-                f"({lo} + {hi} != {total})"
-            )
-    return total
-
-
-def _shard_worker(chunk: np.ndarray, k: int, prune: bool, verify: bool) -> int:
-    """Process-pool worker: count the shards of one chunk.
-
-    Reads ``(sharded, eligible, bounds)`` from the executor's state
-    channel; each forked child streams its shards through its own block
-    window (scratch filenames are pid-scoped, so siblings never
-    collide), evicting as it goes.
-    """
-    from ..pram.executor import worker_state
-
-    sharded, eligible, bounds = worker_state()
-    total = 0
-    for idx in chunk.tolist():
-        lo, hi = int(bounds[idx]), int(bounds[idx + 1])
-        if lo == hi:
-            continue
-        shard = sharded.plan.shards[idx]
-        local = eligible[lo:hi] - shard.e0
-        total += _count_shard(sharded, idx, local, k - 2, prune, verify)
-        sharded.evict(idx)
-    return total
-
-
-def _setup_sharded(
-    graph: CSRGraph,
-    k: int,
+def spilled_plan(
     memory_budget_bytes: Optional[int],
-    prepared: Optional[PreparedGraph],
-    tracker: Tracker,
-    window: int,
-    spill_root: Optional[str],
-) -> Tuple[Optional[PreparedGraph], Any, Any, Optional[ShardedTables], bool]:
-    """Resolve (ctx, dag, comms, sharded, owned) for a sharded query.
+    window: int = 2,
+    spill_root: Optional[str] = None,
+    shared: bool = True,
+) -> Callable[[PreparedGraph, Tracker], ContextManager[ShardedTables]]:
+    """The budgeted plan opener for :func:`repro.core.frontier.execute`.
 
-    ``owned=True`` means the caller must close the sharded tables when
-    done (cold path: nothing else can reuse them). Warm path: the piece
-    is memoized on the prepared context keyed by (budget, window), so a
-    multi-k sweep or a warm server streams from the same spill files.
+    With ``shared`` (the context outlives the query) and no
+    ``spill_root``, the plan is the context's memoized piece keyed by
+    (budget, window), so a multi-k sweep or a warm server streams from
+    the same spill files. Otherwise the query gets private tables,
+    closed (spill files removed) when it ends, even on error.
     """
-    ctx = prepared if prepared is not None else PreparedGraph(graph)
-    if ctx.graph is not graph:
-        raise ValueError("prepared context was built for a different graph")
-    dag = ctx.dag("degeneracy", tracker)
-    comms = ctx.communities("degeneracy", tracker)
-    if k == 3:
-        return ctx, dag, comms, None, False
-    if prepared is not None and spill_root is None:
-        sharded = ctx.sharded_tables(
-            "degeneracy",
-            tracker,
-            memory_budget_bytes=memory_budget_bytes,
-            window=window,
+
+    def open_plan(
+        ctx: PreparedGraph, tracker: Tracker
+    ) -> ContextManager[ShardedTables]:
+        if shared and spill_root is None:
+            return nullcontext(
+                ctx.sharded_tables(
+                    "degeneracy",
+                    tracker,
+                    memory_budget_bytes=memory_budget_bytes,
+                    window=window,
+                )
+            )
+        dag = ctx.dag("degeneracy", tracker)
+        tri = ctx.triangles("degeneracy", tracker)
+        plan = plan_shards(
+            dag.out_indptr, (dag.max_out_degree + 63) // 64,
+            memory_budget_bytes, window,
         )
-        return ctx, dag, comms, sharded, False
-    tri = ctx.triangles("degeneracy", tracker)
-    plan = plan_shards(
-        dag.out_indptr, (dag.max_out_degree + 63) // 64,
-        memory_budget_bytes, window,
-    )
-    sharded = ShardedTables(dag, tri, plan, spill_root=spill_root)
-    return ctx, dag, comms, sharded, True
+        return closing(ShardedTables(dag, tri, plan, spill_root=spill_root))
+
+    return open_plan
 
 
 def sharded_count_cliques(
@@ -596,84 +536,21 @@ def sharded_count_cliques(
     on every graph both can handle, but only ``window`` shard blocks of
     the tables are ever mapped at once — ``memory_budget_bytes`` bounds
     the resident table footprint instead of the graph's O(m·γ) total.
-    ``workers > 1`` fans whole shards out over the weighted process
-    executor (each child streams its own window); ``verify=True``
-    re-proves the disjoint-union additivity oracle on every shard slice
-    (≈2× the counting work — a correctness harness, not a serving mode).
+    ``workers > 1`` fans chunks of eligible edges out over processes
+    (each child streams its own window); ``verify=True`` re-proves the
+    disjoint-union additivity oracle on every shard slice (≈2× the
+    counting work — a correctness harness, not a serving mode).
     ``spill_root`` overrides the scratch-file location (tests point it
     at a tmpdir to observe cleanup); passing it forces a private,
     non-memoized table set even on a warm context.
     """
-    n = graph.num_vertices
-    if k < 1:
-        raise ValueError(f"clique size must be >= 1, got {k}")
-    if k == 1:
-        return n
-    if k == 2:
-        return graph.num_edges
-    ctx, dag, comms, sharded, owned = _setup_sharded(
-        graph, k, memory_budget_bytes, prepared, tracker, window, spill_root
+    plan = spilled_plan(
+        memory_budget_bytes, window, spill_root, shared=prepared is not None
     )
-    if k == 3:
-        return comms.num_triangles
-    metrics = tracker.metrics
-    assert sharded is not None
-    try:
-        eligible = np.flatnonzero(comms.sizes >= (k - 2))
-        plan = sharded.plan
-        if metrics is not None:
-            metrics.gauge("shard.count").set(plan.num_shards)
-        if eligible.size == 0:
-            return 0
-        bounds = _eligible_bounds(eligible, plan)
-        # Per-shard work estimate: the community-size sum of its eligible
-        # slice (Lemma 3.2's per-edge bound), via one prefix sum.
-        csum = np.concatenate(
-            [[0.0], np.cumsum(comms.sizes[eligible].astype(np.float64))]
-        )
-        seg_sizes = csum[bounds[1:]] - csum[bounds[:-1]]
-        if workers is not None and workers > 1:
-            from ..pram.executor import parallel_map_reduce
-
-            total = parallel_map_reduce(
-                _shard_worker,
-                plan.num_shards,
-                args=(k, prune, verify),
-                n_workers=workers,
-                state=(sharded, eligible, bounds),
-                initial=0,
-                tracker=tracker,
-                weights=seg_sizes + 1.0,
-            )
-            assert total is not None
-            return int(total)
-        total = 0
-        walls: List[float] = []
-        for shard in plan.shards:
-            lo, hi = int(bounds[shard.index]), int(bounds[shard.index + 1])
-            if lo == hi:
-                continue
-            t0 = time.perf_counter()
-            total += _count_shard(
-                sharded,
-                shard.index,
-                eligible[lo:hi] - shard.e0,
-                k - 2,
-                prune,
-                verify,
-                metrics=metrics,
-            )
-            walls.append(time.perf_counter() - t0)
-        if metrics is not None and walls:
-            mean = sum(walls) / len(walls)
-            if mean > 0:
-                metrics.gauge("shard.wall_imbalance").set_max(
-                    max(walls) / mean
-                )
-        return total
-    finally:
-        if owned:
-            sharded.close()
+    return execute(
+        graph, k, prepared, tracker, plan,
+        prune=prune, workers=workers, verify=verify,
+    )[0]
 
 
 def sharded_list_cliques(
@@ -692,68 +569,9 @@ def sharded_list_cliques(
     lexicographic order). Only the *tables* are budgeted — the listing
     itself is Ω(#cliques·k) and is returned in RAM either way.
     """
-    if k < 1:
-        raise ValueError(f"clique size must be >= 1, got {k}")
-    if k == 1:
-        return [(v,) for v in range(graph.num_vertices)]
-    if k == 2:
-        us, vs = graph.edge_array()
-        return sorted(
-            (int(u), int(v)) if u < v else (int(v), int(u))
-            for u, v in zip(us, vs)
-        )
-    from .frontier import frontier_list_cliques
-
-    if k == 3:
-        # No tables are involved at k = 3; share the frontier path.
-        return frontier_list_cliques(graph, k, prepared=prepared, tracker=tracker)
-    ctx, dag, comms, sharded, owned = _setup_sharded(
-        graph, k, memory_budget_bytes, prepared, tracker, window, spill_root
+    plan = spilled_plan(
+        memory_budget_bytes, window, spill_root, shared=prepared is not None
     )
-    metrics = tracker.metrics
-    assert sharded is not None
-    try:
-        eligible = np.flatnonzero(comms.sizes >= (k - 2))
-        plan = sharded.plan
-        if metrics is not None:
-            metrics.gauge("shard.count").set(plan.num_shards)
-        if eligible.size == 0:
-            return []
-        bounds = _eligible_bounds(eligible, plan)
-        us, vs = dag.edge_endpoints()
-        orig = dag.original_ids.astype(np.int64)
-        pieces: List[np.ndarray] = []
-        for shard in plan.shards:
-            lo, hi = int(bounds[shard.index]), int(bounds[shard.index + 1])
-            if lo == hi:
-                continue
-            eids = eligible[lo:hi]
-            tables = sharded.block(shard.index, metrics=metrics)
-            prefixes = np.stack(
-                [us[eids].astype(np.int64), vs[eids].astype(np.int64)],
-                axis=1,
-            )
-            local = eids - shard.e0
-            _, rows = _drive(
-                tables,
-                tables.base[local],
-                tables.rows_in[local],
-                k - 2,
-                prune=True,
-                prefixes=prefixes,
-                out_indices=dag.out_indices[shard.e0:shard.e1].astype(
-                    np.int64
-                ),
-                metrics=metrics,
-            )
-            assert rows is not None
-            if rows.shape[0]:
-                pieces.append(rows)
-        if not pieces:
-            return []
-        all_rows = np.concatenate(pieces, axis=0)
-        canonical = np.sort(orig[all_rows], axis=1)
-        return sorted(map(tuple, canonical.tolist()))
-    finally:
-        if owned:
-            sharded.close()
+    listed = execute(graph, k, prepared, tracker, plan, listing=True)[1]
+    assert listed is not None
+    return listed

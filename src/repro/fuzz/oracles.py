@@ -4,8 +4,8 @@ Each oracle is a pure function ``(graph, k, rng) -> list of violation
 messages`` (empty list = the property holds). Two kinds:
 
 * **Differential** — every engine configuration (reference recursion,
-  frontier cold / warm-prepared / kernelized, bitset kernel, process
-  executor with ``workers > 1``, the ``auto`` façade) must agree on
+  frontier cold / warm-prepared / kernelized, the sharded plan, the
+  process fan-outs with ``workers > 1``, the ``auto`` façade) must agree on
   counts, canonical listings, and existence witnesses — and, on small
   instances, with the brute-force oracle.
 * **Metamorphic** — known input→output relations that need no external
@@ -39,7 +39,6 @@ from ..baselines.bruteforce import brute_force_count, brute_force_list
 from ..baselines.kclist import kclist_count
 from ..core.api import count_cliques, list_cliques
 from ..core.existence import clique_spectrum, find_clique
-from ..core.fast import fast_count_cliques
 from ..core.frontier import frontier_count_cliques, frontier_list_cliques
 from ..core.parallel import count_cliques_parallel
 from ..core.prepared import PreparedGraph
@@ -105,9 +104,9 @@ def oracle_engines(
 
     The matrix is the fast-path/slow-path split where silent divergence
     bugs live: cold vs warm-prepared contexts, kernelized dispatch, the
-    packed-bitset kernel, the out-of-core sharded streamer (unlimited
-    budget plus an rng-drawn tiny one), and the independent kClist
-    baseline — plus brute force on small instances.
+    out-of-core sharded streamer (unlimited budget plus an rng-drawn
+    tiny one), and the independent kClist baseline — plus brute force on
+    small instances.
     """
     counts: Dict[str, int] = {}
     counts["reference"] = _observed(
@@ -120,9 +119,6 @@ def oracle_engines(
     frontier_count_cliques(graph, k, prepared=ctx)  # populate every piece
     counts["frontier:warm"] = _observed(
         "frontier:warm", graph, k, frontier_count_cliques(graph, k, prepared=ctx)
-    )
-    counts["bitset"] = _observed(
-        "bitset", graph, k, fast_count_cliques(graph, k)
     )
     counts["kernelized"] = _observed(
         "kernelized",
@@ -157,20 +153,32 @@ def oracle_engines(
 def oracle_process(
     graph: CSRGraph, k: int, rng: np.random.Generator
 ) -> List[str]:
-    """The process executor (``workers > 1``) matches the reference count."""
+    """Both process fan-outs (``workers=2``) match the reference count.
+
+    The reference recursion on processes, and the frontier executor's
+    plan units on processes: one resident shard, and many spilled shards
+    under a 1-byte budget.
+    """
     del rng
     expected = _observed(
         "reference", graph, k, run_variant(graph, k, "best-work", Tracker()).count
     )
-    got = _observed(
-        "process", graph, k, count_cliques_parallel(graph, k, n_workers=2)
-    )
-    if got != expected:
-        return [
-            f"process executor (workers=2) counted {got} {k}-cliques, "
-            f"reference counted {expected}"
-        ]
-    return []
+    counts = {
+        "process": count_cliques_parallel(graph, k, n_workers=2),
+        "frontier": count_cliques(graph, k, engine="frontier", workers=2).count,
+        "sharded": sharded_count_cliques(
+            graph, k, memory_budget_bytes=1, workers=2
+        ),
+    }
+    violations: List[str] = []
+    for name, raw in counts.items():
+        got = _observed(name, graph, k, raw)
+        if got != expected:
+            violations.append(
+                f"{name} fan-out (workers=2) counted {got} {k}-cliques, "
+                f"reference counted {expected}"
+            )
+    return violations
 
 
 def oracle_listings(
@@ -179,7 +187,7 @@ def oracle_listings(
     """Reference and frontier listings are identical and canonical."""
     del rng
     violations: List[str] = []
-    ref = list_cliques(graph, k)
+    ref = list_cliques(graph, k, engine="reference")
     fro = frontier_list_cliques(graph, k)
     if ref != fro:
         violations.append(

@@ -30,7 +30,7 @@ class OrientedDAG:
     are sorted ascending. ``original_ids[i]`` recovers the input label.
 
     Immutable once constructed: every engine shares one DAG across many
-    queries (and the process engine forks it to workers), so the adjacency
+    queries (and process fan-outs fork it to workers), so the adjacency
     arrays are sealed read-only — an accidental in-place update raises
     instead of corrupting every later query.
     """

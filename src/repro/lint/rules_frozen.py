@@ -1,8 +1,9 @@
 """R6 — frozen-array discipline (the PR 3 bug class, statically).
 
-The repo's shared tables — CSR adjacency, ``BitMatrix`` rows, the
-frontier tables — are built once and then read by many queries (and, for
-the process engine, by many forked workers through copy-on-write pages).
+The repo's shared tables — CSR adjacency, the frontier tables and their
+shard blocks — are built once and then read by many queries (and, when
+the frontier executor runs with ``workers > 1``, by many forked workers
+through copy-on-write pages).
 The convention is to *seal* every such array with
 ``arr.setflags(write=False)`` / ``arr.flags.writeable = False`` so an
 accidental in-place update raises instead of corrupting every later

@@ -475,8 +475,7 @@ class CliqueService:
             request, "variant", str, default="best-work", choices=VARIANTS
         )
         engine = field(
-            request, "engine", str, default="reference",
-            choices=("reference", "frontier", "sharded"),
+            request, "engine", str, default="auto", choices=ENGINES
         )
         kernelize = field(request, "kernelize", bool, default=False)
         limit = field(request, "limit", int)

@@ -2,10 +2,9 @@
 
 A reproduction's strongest evidence is agreement: this module runs every
 counting engine in the repository (the six Table-1 variants, the
-triangle-growing extension, the bitset kernel, the level-synchronous
-frontier engine — cold, warm, kernelized, and sliced across the process
-executor — the out-of-core sharded streamer at unlimited and
-adversarially tiny budgets, the process-parallel wrapper, and the three
+triangle-growing extension, the frontier executor — cold, warm,
+kernelized, and over a sharded plan at unlimited and adversarially tiny
+budgets — the process-parallel reference wrapper, and the three
 baselines)
 against each other — and against the brute-force oracle on small
 instances — over randomized graphs, and reports the first disagreement.
@@ -25,7 +24,6 @@ from .baselines.chiba_nishizeki import chiba_nishizeki_count
 from .baselines.kclist import kclist_count
 from .core.api import count_cliques
 from .core.existence import find_clique
-from .core.fast import fast_count_cliques
 from .core.frontier import frontier_count_cliques
 from .core.motifs import count_cliques_triangle_growing
 from .core.parallel import count_cliques_parallel
@@ -116,15 +114,8 @@ def _engines() -> Dict[str, object]:
             "triangle-growing": lambda g, k: count_cliques_triangle_growing(
                 g, k
             ).count,
-            "bitset-kernel": fast_count_cliques,
-            "bitset-kernel:warm": lambda g, k: fast_count_cliques(
-                g, k, prepared=PreparedGraph(g)
-            ),
             "process-parallel": lambda g, k: count_cliques_parallel(
                 g, k, n_workers=1
-            ),
-            "process-frontier": lambda g, k: count_cliques_parallel(
-                g, k, n_workers=1, engine="frontier"
             ),
             "frontier": frontier_count_cliques,
             "frontier:warm": _warm_frontier_count,

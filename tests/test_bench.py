@@ -164,7 +164,6 @@ class TestAllHarnessAlgorithms:
             "c3list-hybrid",
             "c3list-cd",
             "c3list-cd-approx",
-            "bitset",
             "kclist",
             "arbcount",
             "chiba-nishizeki",

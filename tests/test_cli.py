@@ -57,7 +57,7 @@ class TestCount:
         assert main(["count", str(path), "-k", "3"]) == 0
 
     @pytest.mark.parametrize(
-        "engine", ["auto", "reference", "frontier", "bitset", "process"]
+        "engine", ["auto", "reference", "frontier", "sharded"]
     )
     def test_count_engine_flag(self, edge_file, capsys, engine):
         from repro import count_cliques
@@ -65,18 +65,19 @@ class TestCount:
         path, g = edge_file
         expected = count_cliques(g, 4, engine="reference").count
         argv = ["count", path, "-k", "4", "--engine", engine]
-        if engine == "process":
-            argv += ["--workers", "1"]
         assert main(argv) == 0
         assert f"4-cliques: {expected}" in capsys.readouterr().out
 
-    def test_count_workers_routes_auto_to_process(self, edge_file, capsys):
+    def test_count_workers_keep_the_frontier_engine(self, edge_file, capsys):
         from repro import count_cliques
 
         path, g = edge_file
         expected = count_cliques(g, 4, engine="reference").count
-        assert main(["count", path, "-k", "4", "--workers", "2"]) == 0
-        assert f"4-cliques: {expected}" in capsys.readouterr().out
+        argv = ["count", path, "-k", "4", "--workers", "2", "--cost"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert f"4-cliques: {expected}" in out
+        assert "engine = frontier" in out
 
     def test_count_bad_engine_rejected(self, edge_file, capsys):
         path, _ = edge_file
@@ -91,7 +92,7 @@ class TestList:
         path, g = edge_file
         assert main(["list", path, "-k", "4"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
-        assert len(lines) == len(list_cliques(g, 4))
+        assert len(lines) == len(list_cliques(g, 4, engine="reference"))
 
     def test_list_limit(self, edge_file, capsys):
         path, _ = edge_file

@@ -103,27 +103,29 @@ class TestEngineDispatchEdgeCases:
             == brute_force_count(g, 5)
         )
 
-    def test_workers_beat_kernelize_and_k(self):
-        # workers > 1 wins the dispatch regardless of every other flag;
-        # kernelize composes (it shrinks the instance *before* dispatch).
+    def test_workers_compose_with_kernelize_and_k(self):
+        # workers never choose the engine, they only fan the plan's units
+        # out; kernelize composes (it shrinks the instance *before*
+        # dispatch).
         g = gnm_random_graph(22, 100, seed=5)
         decision = self._resolve(g, 4, workers=2)
-        assert decision == "process"
+        assert decision == "frontier"
         assert "workers=2" in decision.reason
+        assert self._resolve(g, 3, workers=2) == "reference"
         result = count_cliques(g, 4, workers=2, kernelize=True)
-        assert result.engine == "process"
+        assert result.engine == "frontier"
         assert result.count == brute_force_count(g, 4)
 
     def test_workers_one_is_not_process(self):
         g = gnm_random_graph(18, 60, seed=6)
         assert self._resolve(g, 4, workers=1) == "frontier"
 
-    def test_explicit_bitset_bypasses_resolver(self):
-        # bitset is retired from auto but stays reachable by request,
-        # with the generic explicit-request reason on the result.
+    def test_explicit_sharded_bypasses_resolver(self):
+        # An explicit request skips the resolver, with the generic
+        # explicit-request reason on the result.
         g = gnm_random_graph(20, 90, seed=7)
-        result = count_cliques(g, 4, engine="bitset")
-        assert result.engine == "bitset"
+        result = count_cliques(g, 4, engine="sharded")
+        assert result.engine == "sharded"
         assert "explicitly requested" in result.engine_reason
         assert result.count == brute_force_count(g, 4)
 

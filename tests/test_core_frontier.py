@@ -16,18 +16,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import count_cliques, list_cliques
-from repro.baselines import brute_force_count
+from repro.baselines import brute_force_count, brute_force_list
 from repro.core import VARIANTS, run_variant
 from repro.core.api import EngineDecision, resolve_engine
 from repro.core.frontier import (
+    _drive,
     build_frontier_tables,
-    count_frontier_slice,
     frontier_count_cliques,
     frontier_list_cliques,
 )
 from repro.core.prepared import PreparedGraph
 from repro.fuzz.strategies import random_graphs
-from repro.graphs import complete_graph, from_edges, gnm_random_graph
+from repro.graphs import (
+    complete_graph,
+    empty_graph,
+    from_edges,
+    gnm_random_graph,
+    hypercube_graph,
+)
 from repro.obs import MetricsRegistry
 from repro.pram.tracker import NULL_TRACKER, Tracker
 
@@ -64,7 +70,7 @@ def test_frontier_warm_cold_and_kernelized_counts(g, k):
 @settings(**SETTINGS)
 def test_frontier_listing_is_canonical_warm_cold_kernelized(g, k):
     ctx = PreparedGraph(g)
-    ref = list_cliques(g, k, prepared=ctx)
+    ref = list_cliques(g, k, prepared=ctx, engine="reference")
     assert frontier_list_cliques(g, k) == ref  # cold private context
     assert frontier_list_cliques(g, k, prepared=ctx) == ref  # warm
     assert (
@@ -88,7 +94,9 @@ class TestTrivialSizes:
         ref = {k: run_variant(g, k, "best-work", Tracker()).count for k in (1, 2, 3)}
         for k, expected in ref.items():
             assert frontier_count_cliques(g, k) == expected
-            assert frontier_list_cliques(g, k) == list_cliques(g, k)
+            assert frontier_list_cliques(g, k) == list_cliques(
+                g, k, engine="reference"
+            )
 
     def test_bad_k_rejected(self):
         g = complete_graph(5)
@@ -96,10 +104,14 @@ class TestTrivialSizes:
             frontier_count_cliques(g, 0)
 
 
+def _drive_slice(tables, eids, c):
+    return _drive(tables, tables.base[eids], tables.rows_in[eids], c)[0]
+
+
 class TestSliceDecomposition:
     def test_slices_partition_the_count(self):
-        # The process executor's contract: summing count_frontier_slice
-        # over any partition of the eligible edges reproduces the total.
+        # The executor's contract: driving any partition of the eligible
+        # edges separately and summing reproduces the total.
         g = gnm_random_graph(40, 220, seed=7)
         k = 5
         ctx = PreparedGraph(g)
@@ -109,16 +121,38 @@ class TestSliceDecomposition:
         eligible = np.flatnonzero(comms.sizes >= (k - 2))
         for parts in (1, 2, 3, 7):
             pieces = np.array_split(eligible, parts)
-            assert (
-                sum(count_frontier_slice(tables, p, k - 2) for p in pieces)
-                == total
-            )
+            assert sum(_drive_slice(tables, p, k - 2) for p in pieces) == total
 
     def test_empty_slice_counts_zero(self):
         g = complete_graph(6)
         ctx = PreparedGraph(g)
         tables = ctx.frontier_tables("degeneracy")
-        assert count_frontier_slice(tables, np.empty(0, dtype=np.int64), 2) == 0
+        assert _drive_slice(tables, np.empty(0, dtype=np.int64), 2) == 0
+
+
+class TestTriangleListing:
+    """k = 3 lists the memoized triangle array, canonicalized in numpy."""
+
+    @given(g=random_graphs())
+    @settings(**SETTINGS)
+    def test_matches_reference_bytes(self, g):
+        ref = list_cliques(g, 3, engine="reference")
+        got = frontier_list_cliques(g, 3)
+        assert got == ref
+        assert repr(got) == repr(ref)
+
+    @pytest.mark.parametrize(
+        "g",
+        [empty_graph(0), empty_graph(5), hypercube_graph(4)],
+        ids=["empty", "edgeless", "triangle-free"],
+    )
+    def test_no_triangles_lists_nothing(self, g):
+        assert frontier_list_cliques(g, 3) == []
+        assert list_cliques(g, 3, engine="reference") == []
+
+    def test_matches_brute_force(self):
+        g = gnm_random_graph(30, 150, seed=5)
+        assert frontier_list_cliques(g, 3) == sorted(brute_force_list(g, 3))
 
 
 class TestTables:
@@ -242,7 +276,9 @@ class TestRelevantPairs:
         assert expected_pairs > 0
         assert registry.to_dict()["frontier.pairs"]["value"] == expected_pairs
         assert got == count_cliques(graph, k, engine="reference").count > 0
-        assert frontier_list_cliques(graph, k) == list_cliques(graph, k)
+        assert frontier_list_cliques(graph, k) == list_cliques(
+            graph, k, engine="reference"
+        )
 
     def test_two_word_graph_sets_bits_in_the_second_word(self):
         tables = PreparedGraph(_two_word_graph()).frontier_tables("degeneracy")

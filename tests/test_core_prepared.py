@@ -26,13 +26,13 @@ from repro import (
 from repro.core import (
     clique_spectrum,
     count_cliques_parallel,
-    fast_count_cliques,
     find_clique,
     max_clique_size,
     per_vertex_clique_counts,
     resolve_engine,
     run_variant,
 )
+from repro.core.frontier import frontier_count_cliques
 from repro.core.prepared import EDGE_ORDER_KINDS, ORDER_VARIANTS, PreparedCache
 from repro.fuzz.strategies import random_graphs
 from repro.graphs import complete_graph, from_edges, gnm_random_graph
@@ -88,7 +88,6 @@ class TestPieceMemoization:
         ctx = PreparedGraph(g)
         assert ctx.degeneracy() == 9
         assert ctx.gamma() == 8  # largest community of K10 under any order
-        assert ctx.bitset_words() == 1
 
     def test_bad_inputs_rejected(self):
         g = complete_graph(4)
@@ -119,7 +118,6 @@ class TestWarmEqualsCold:
     def test_every_engine_agrees_on_a_shared_context(self, g, k):
         ctx = PreparedGraph(g)
         cold = run_variant(g, k, "best-work", Tracker()).count
-        assert fast_count_cliques(g, k, prepared=ctx) == cold
         assert count_cliques_parallel(g, k, n_workers=1, prepared=ctx) == cold
         for engine in ENGINES:
             assert count_cliques(g, k, engine=engine, prepared=ctx).count == cold
@@ -179,7 +177,7 @@ class TestWarmEqualsCold:
         with pytest.raises(ValueError):
             run_variant(g, 4, "best-work", Tracker(), prepared=ctx)
         with pytest.raises(ValueError):
-            fast_count_cliques(g, 4, prepared=ctx)
+            frontier_count_cliques(g, 4, prepared=ctx)
         with pytest.raises(ValueError):
             count_cliques(g, 4, prepared=ctx)
         with pytest.raises(ValueError):
@@ -210,23 +208,21 @@ class TestEngineDispatch:
     def test_explicit_engines_agree(self):
         g = clique_rich_graph()
         expected = count_cliques(g, 5, engine="reference").count
-        assert count_cliques(g, 5, engine="bitset").count == expected
         assert count_cliques(g, 5, engine="frontier").count == expected
-        assert count_cliques(g, 5, engine="process", workers=1).count == expected
+        assert count_cliques(g, 5, engine="sharded").count == expected
+        assert count_cliques(g, 5, engine="frontier", workers=1).count == expected
 
-    def test_auto_picks_process_when_workers_requested(self):
+    def test_auto_keeps_frontier_when_workers_requested(self):
         g = complete_graph(8)
         ctx = PreparedGraph(g)
-        assert (
-            resolve_engine(ctx, 4, "best-work", True, 2, NULL_TRACKER)
-            == "process"
-        )
+        decision = resolve_engine(ctx, 4, "best-work", True, 2, NULL_TRACKER)
+        assert decision == "frontier"
+        assert "workers=2" in decision.reason
 
     def test_auto_picks_frontier_for_default_counting(self):
         # Recalibrated against measured crossovers: the level-synchronous
         # engine wins every k >= 4 best-work regime, single- and
-        # multi-word candidate universes alike (the old multiword bitset
-        # auto-pick is retired; bitset stays explicit-request only).
+        # multi-word candidate universes alike.
         wide = PreparedGraph(complete_graph(70))
         decision = resolve_engine(wide, 4, "best-work", True, None, NULL_TRACKER)
         assert decision == "frontier"
@@ -261,7 +257,7 @@ class TestEngineDispatch:
     def test_non_reference_results_carry_tracked_preprocessing(self):
         g = clique_rich_graph()
         tr = Tracker()
-        res = count_cliques(g, 5, engine="bitset", tracker=tr)
+        res = count_cliques(g, 5, engine="frontier", tracker=tr)
         assert res.cost.work == tr.work
         assert res.cliques is None
         assert "orientation" in tr.phases

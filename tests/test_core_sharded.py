@@ -275,12 +275,12 @@ def test_spill_cleanup_on_success(tmp_path):
 
 
 def test_spill_cleanup_on_error(tmp_path, monkeypatch):
-    import repro.core.sharded as sharded_mod
+    import repro.core.frontier as frontier_mod
 
     def boom(*args, **kwargs):
         raise RuntimeError("injected failure")
 
-    monkeypatch.setattr(sharded_mod, "count_frontier_slice", boom)
+    monkeypatch.setattr(frontier_mod, "_drive", boom)
     g = gnm_random_graph(40, 160, seed=3)
     with pytest.raises(RuntimeError, match="injected failure"):
         sharded_count_cliques(
@@ -290,12 +290,12 @@ def test_spill_cleanup_on_error(tmp_path, monkeypatch):
 
 
 def test_spill_cleanup_on_keyboard_interrupt(tmp_path, monkeypatch):
-    import repro.core.sharded as sharded_mod
+    import repro.core.frontier as frontier_mod
 
     def interrupt(*args, **kwargs):
         raise KeyboardInterrupt()
 
-    monkeypatch.setattr(sharded_mod, "count_frontier_slice", interrupt)
+    monkeypatch.setattr(frontier_mod, "_drive", interrupt)
     g = gnm_random_graph(40, 160, seed=3)
     with pytest.raises(KeyboardInterrupt):
         sharded_count_cliques(
@@ -342,13 +342,13 @@ def test_facade_dispatches_to_sharded_under_budget():
 
 
 def test_facade_listing_upgrades_to_sharded():
+    # auto listing resolves through resolve_engine, like counting: a
+    # budget the tables would not fit streams shards.
     g = gnm_random_graph(60, 260, seed=11)
-    expected = list_cliques(g, 4, engine="frontier")
+    expected = list_cliques(g, 4, engine="reference")
+    assert list_cliques(g, 4, engine="frontier") == expected
     assert list_cliques(g, 4, engine="sharded") == expected
-    assert (
-        list_cliques(g, 4, engine="frontier", memory_budget_bytes=1)
-        == expected
-    )
+    assert list_cliques(g, 4, memory_budget_bytes=1) == expected
 
 
 # -- prepared-cache byte accounting ----------------------------------------

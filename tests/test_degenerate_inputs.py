@@ -14,9 +14,9 @@ import pytest
 
 from repro.core.api import count_cliques, has_clique, list_cliques
 from repro.core.existence import clique_spectrum, find_clique
-from repro.core.fast import fast_count_cliques
 from repro.core.frontier import (
-    count_frontier_slice,
+    _drive,
+    execute,
     frontier_count_cliques,
     frontier_list_cliques,
 )
@@ -52,7 +52,6 @@ ENGINES = {
     "frontier-warm": lambda g, k: frontier_count_cliques(
         g, k, prepared=PreparedGraph(g)
     ),
-    "bitset": lambda g, k: fast_count_cliques(g, k),
     "process": lambda g, k: count_cliques_parallel(g, k, n_workers=2),
     "auto": lambda g, k: count_cliques(g, k).count,
     "kernelized": lambda g, k: count_cliques(
@@ -89,6 +88,7 @@ class TestDegenerateListingsAndExistence:
         g = GRAPHS[gname]
         for k in (3, g.num_vertices + 2):
             expected = expected_count(g, k)
+            assert len(list_cliques(g, k, engine="reference")) == expected
             assert len(list_cliques(g, k)) == expected
             assert len(frontier_list_cliques(g, k)) == expected
 
@@ -108,15 +108,19 @@ class TestEmptyEligibleSlices:
         ctx = PreparedGraph(g)
         tables = ctx.frontier_tables()
         empty = np.empty(0, dtype=np.int64)
+        base, masks = tables.base[empty], tables.rows_in[empty]
         for c in (0, 1, 2, 5):
-            assert count_frontier_slice(tables, empty, c, prune=True) == 0
-            assert count_frontier_slice(tables, empty, c, prune=False) == 0
+            assert _drive(tables, base, masks, c, prune=True)[0] == 0
+            assert _drive(tables, base, masks, c, prune=False)[0] == 0
 
     def test_edgeless_graph_has_empty_tables(self):
-        ctx = PreparedGraph(edgeless(5))
+        g = edgeless(5)
+        ctx = PreparedGraph(g)
         tables = ctx.frontier_tables()
-        eligible = np.arange(0, dtype=np.int64)
-        assert count_frontier_slice(tables, eligible, 2) == 0
+        assert tables.rows.shape[0] == 0
+        for k in (4, 5):
+            assert execute(g, k, ctx, workers=2) == (0, None)
+            assert execute(g, k, ctx, listing=True) == (0, [])
 
 
 class TestDegenerateDynamic:

@@ -68,7 +68,7 @@ class TestEndpoints:
 
         listed, limited, found, spectrum = run(flow())
         graph = gnm_from_edges()
-        oracle = [list(c) for c in list_cliques(graph, 3)]
+        oracle = [list(c) for c in list_cliques(graph, 3, engine="reference")]
         assert listed["cliques"] == oracle
         assert not listed["truncated"]
         assert limited["truncated"] and len(limited["cliques"]) == 1
@@ -116,6 +116,12 @@ class TestEndpoints:
                     "op": "mutate", "graph": "g", "mutation": "insert",
                     "batch": ["oops"],
                 },
+                "removed-engine": {
+                    "op": "count", "graph": "g", "k": 4, "engine": "process",
+                },
+                "removed-list-engine": {
+                    "op": "list", "graph": "g", "k": 4, "engine": "bitset",
+                },
             }.items():
                 response = await svc.handle(req)
                 assert response["ok"] is False
@@ -130,6 +136,8 @@ class TestEndpoints:
         assert errors["neg-k"] == "bad-request"
         assert errors["bad-variant"] == "bad-request"
         assert errors["bad-batch"] == "bad-request"
+        assert errors["removed-engine"] == "bad-request"
+        assert errors["removed-list-engine"] == "bad-request"
 
     def test_stats_and_ping(self):
         async def flow():

@@ -19,9 +19,9 @@ from repro.baselines import (
 from repro.core import (
     VARIANTS,
     count_cliques_triangle_growing,
-    fast_count_cliques,
     run_variant,
 )
+from repro.core.frontier import frontier_count_cliques
 from repro.graphs import (
     banded_graph,
     bipartite_plus_line_graph,
@@ -56,7 +56,7 @@ def test_all_engines_agree(family, k):
     for variant in VARIANTS:
         assert run_variant(g, k, variant, Tracker()).count == want, variant
     assert count_cliques_triangle_growing(g, k).count == want
-    assert fast_count_cliques(g, k) == want
+    assert frontier_count_cliques(g, k) == want
     assert kclist_count(g, k).count == want
     assert arbcount_count(g, k).count == want
     assert chiba_nishizeki_count(g, k).count == want
