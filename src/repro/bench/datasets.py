@@ -137,8 +137,8 @@ def _bio_sc_ht(scale: float = 1.0) -> CSRGraph:
 # small-world ring (Watts-Strogatz ~ low-T/E skitter regime), banded mesh
 # (lattice ~ gearbox regime), and heavy-tailed degrees without closure
 # (configuration model ~ skitter's degree column).  All take the same
-# ``scale`` knob as the Table-2 stand-ins so the size-scaling bench and the
-# workload replayer can sweep them.
+# ``scale`` knob as the Table-2 stand-ins so the size-scaling bench and
+# the service benchmark (``servicebench/``) can sweep them.
 
 
 @lru_cache(maxsize=None)

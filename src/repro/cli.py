@@ -11,11 +11,6 @@
   — a (graphs × ks × algorithms) matrix, optionally emitting a
   machine-readable ``BENCH_<timestamp>.json`` and gating against a
   committed baseline (exit 3 on regression; see docs/OBSERVABILITY.md);
-* ``replay <dataset...> --queries N --seed S [--compare BASELINE.json]``
-  — fire a seeded, Zipf-skewed multi-query workload trace at the
-  service path (coalescing + admission + warm cache measured together),
-  recording warm-hit rate, throughput and tail latency; ``--compare``
-  gates the trace SLOs (exit 3 on breach, checksum mismatch fatal);
 * ``mutate <graph> -k K (--trace FILE | --random N)`` — replay (or
   synthesize) a batch insert/delete mutation trace through the dynamic
   layer, maintaining counts incrementally; ``--verify`` gates every
@@ -24,9 +19,10 @@
 * ``selfcheck`` — fuzz every engine against each other + the oracle;
 * ``fuzz --budget N --seed S [--oracle NAME] [--emit-regression [DIR]]``
   — the differential/metamorphic fuzzing subsystem: replayable seeded
-  cases, cross-engine + metamorphic oracles, delta-debugging shrinker,
-  auto-emitted pytest regressions (exit 4 on any violation; see
-  docs/FUZZING.md);
+  cases, cross-engine + metamorphic oracles (``service-versions`` checks
+  every query-service answer under concurrent mutation against the graph
+  version it reports), delta-debugging shrinker, auto-emitted pytest
+  regressions (exit 4 on any violation; see docs/FUZZING.md);
 * ``lint [paths] [--changed] [--format text|json|sarif|github]`` — the
   repo-aware static analysis (intra-module rules R1–R4 plus the
   interprocedural call-graph rules R5–R8; see docs/STATIC_ANALYSIS.md);
@@ -243,123 +239,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 # Name the breached field(s) explicitly: the exit-3 log
                 # must say *which* metric/tolerance failed, not just
                 # which record.
-                for line in report.breaches():
-                    print(f"bench compare breach: {line}", file=sys.stderr)
-                exit_code = 3
-    return exit_code
-
-
-def _parse_mix(text: str) -> dict:
-    """Parse ``count=0.8,find=0.1,spectrum=0.1`` into an op-weight map."""
-    mix = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        op, sep, weight = part.partition("=")
-        if not sep:
-            raise ValueError(
-                f"bad mix component {part!r} (expected op=weight)"
-            )
-        mix[op.strip()] = float(weight)
-    return mix
-
-
-def _cmd_replay(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench.workload import WorkloadSpec, generate_trace, replay_trace
-    from .obs import (
-        MetricsRegistry,
-        compare_records,
-        load_record,
-        make_record,
-        write_record,
-    )
-
-    if args.trace is not None:
-        with open(args.trace, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        spec = WorkloadSpec.from_dict(doc["spec"])
-        trace = doc["trace"]
-    else:
-        if not args.graph:
-            raise ValueError("replay needs graph name(s) or --trace FILE")
-        spec = WorkloadSpec(
-            graphs=tuple(args.graph),
-            queries=args.queries,
-            ks=tuple(args.k or [4, 5]),
-            mix=_parse_mix(args.mix),
-            zipf_a=args.zipf,
-            mutation_every=args.mutate_every,
-            mutation_batch=args.mutation_batch,
-            scale=args.scale,
-            seed=args.seed,
-        )
-        trace = generate_trace(spec)
-    if args.emit_trace is not None:
-        with open(args.emit_trace, "w", encoding="utf-8") as fh:
-            json.dump({"spec": spec.to_dict(), "trace": trace}, fh, indent=2)
-            fh.write("\n")
-        print(f"trace written: {args.emit_trace} ({len(trace)} events)")
-
-    registry = MetricsRegistry()
-    result = replay_trace(
-        trace,
-        spec.graphs,
-        name=args.name,
-        seed=spec.seed,
-        scale=spec.scale,
-        concurrency=args.concurrency,
-        metrics=registry,
-        max_query_work=args.max_query_work,
-        queue_limit=args.queue_limit,
-        memory_budget_bytes=args.memory_budget,
-    )
-    print(
-        format_table(
-            ["trace", "queries", "mutations", "errors", "warm rate",
-             "coalesced", "qps", "p50 ms", "p95 ms", "p99 ms"],
-            [[
-                result.name,
-                result.queries,
-                result.mutations,
-                result.errors,
-                f"{result.warm_hit_rate:.3f}",
-                result.coalesced,
-                f"{result.throughput_qps:.1f}",
-                f"{result.p50_ms:.2f}",
-                f"{result.p95_ms:.2f}",
-                f"{result.p99_ms:.2f}",
-            ]],
-        )
-    )
-    print(f"count checksum: {result.count_checksum}")
-
-    exit_code = 0
-    want_json = args.json or args.out is not None or args.compare is not None
-    if want_json:
-        row = result.to_trace_record()
-        row["spec"] = spec.to_dict()
-        record = make_record(
-            [], metrics=registry.to_dict(), note=args.note, traces=[row]
-        )
-        path = write_record(record, path=args.out)
-        print(f"bench record written: {path}")
-        if args.compare is not None:
-            baseline = load_record(args.compare)
-            trace_metrics = tuple(
-                m.strip() for m in args.trace_metrics.split(",") if m.strip()
-            )
-            report = compare_records(
-                record,
-                baseline,
-                metrics=(),
-                trace_tolerance=args.trace_tolerance,
-                trace_metrics=trace_metrics,
-            )
-            print(report.summary())
-            if not report.ok:
                 for line in report.breaches():
                     print(f"bench compare breach: {line}", file=sys.stderr)
                 exit_code = 3
@@ -842,130 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
-        "replay",
-        help="replay a seeded multi-query workload trace through the "
-        "service path; optional trace-SLO gate (exit 3 on breach)",
-    )
-    p.add_argument(
-        "graph",
-        nargs="*",
-        help="dataset name(s) the workload queries (e.g. bio-sc-ht "
-        "sbm-community); omit when replaying --trace FILE",
-    )
-    p.add_argument(
-        "--queries", type=int, default=64, help="query events (default 64)"
-    )
-    p.add_argument("--seed", type=int, default=0, help="trace seed (replayable)")
-    p.add_argument(
-        "-k",
-        type=int,
-        action="append",
-        help="clique size; repeatable for a mixed-k trace (default: 4 5)",
-    )
-    p.add_argument(
-        "--zipf",
-        type=float,
-        default=1.1,
-        help="Zipf skew of query-template popularity (0 = uniform)",
-    )
-    p.add_argument(
-        "--mix",
-        default="count=0.8,find=0.1,spectrum=0.1",
-        help="op mix as op=weight pairs (default count=0.8,find=0.1,"
-        "spectrum=0.1)",
-    )
-    p.add_argument(
-        "--mutate-every",
-        type=int,
-        default=0,
-        metavar="N",
-        help="interleave one mutation batch after every N queries "
-        "(default 0 = read-only trace)",
-    )
-    p.add_argument(
-        "--mutation-batch",
-        type=int,
-        default=2,
-        help="edges per interleaved mutation batch (default 2)",
-    )
-    p.add_argument(
-        "--scale", type=float, default=1.0, help="dataset scale factor"
-    )
-    p.add_argument(
-        "--concurrency",
-        type=int,
-        default=1,
-        help="in-flight query window (1 = sequential, deterministic "
-        "warm/coalesced sequence; mutations always barrier)",
-    )
-    p.add_argument(
-        "--name",
-        default="workload",
-        help="trace name in the record (the --compare join key)",
-    )
-    p.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="replay a trace JSON emitted by --emit-trace instead of "
-        "generating one",
-    )
-    p.add_argument(
-        "--emit-trace",
-        default=None,
-        metavar="FILE",
-        help="write the generated trace as replayable JSON",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="also write a BENCH_<timestamp>.json record with the trace row",
-    )
-    p.add_argument(
-        "--out", default=None, help="path for the JSON record (implies --json)"
-    )
-    p.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE.json",
-        help="gate trace SLOs against a baseline record; exit 3 on breach",
-    )
-    p.add_argument(
-        "--trace-tolerance",
-        type=float,
-        default=0.10,
-        help="allowed relative SLO drift per trace metric (default 0.10)",
-    )
-    p.add_argument(
-        "--trace-metrics",
-        default="warm_hit_rate,errors",
-        help="comma-separated trace SLO metrics to gate (deterministic "
-        "default: warm_hit_rate,errors; latency metrics are wall-clock "
-        "noisy)",
-    )
-    p.add_argument("--note", default="", help="free-form note stored in the record")
-    p.add_argument(
-        "--max-query-work",
-        type=float,
-        default=None,
-        help="per-query admission budget (as in repro serve)",
-    )
-    p.add_argument(
-        "--queue-limit",
-        type=int,
-        default=64,
-        help="admission queue limit (default 64)",
-    )
-    p.add_argument(
-        "--memory-budget",
-        type=parse_memory_size,
-        default=None,
-        metavar="SIZE",
-        help="resident table-byte budget for the replay service",
-    )
-    p.set_defaults(func=_cmd_replay)
-
-    p = sub.add_parser(
         "mutate",
         help="replay or synthesize a batch-mutation trace with incremental "
         "clique maintenance (exit 5 on verification failure)",
@@ -1262,9 +1017,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro list ... | head``). Point
+        # stdout at devnull so the flush at interpreter exit cannot raise
+        # a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

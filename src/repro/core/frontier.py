@@ -73,13 +73,14 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import Any, Callable, ContextManager, List, Optional, Tuple
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..graphs.bitset import popcount_rows, set_bits_2d
 from ..graphs.csr import CSRGraph
 from ..graphs.digraph import OrientedDAG
+from ..obs.metrics import MetricsRegistry
 from ..pram.executor import parallel_map_reduce, worker_state
 from ..pram.tracker import NULL_TRACKER, Tracker
 from .prepared import PreparedGraph
@@ -396,26 +397,32 @@ def _run_units(
     return total, pieces
 
 
+_Partial = Tuple[int, List[np.ndarray], List[Dict[str, Any]]]
+
+
 def _plan_worker(
     chunk: np.ndarray, c: int, prune: bool, verify: bool
-) -> Tuple[int, List[np.ndarray]]:
+) -> _Partial:
     """Process-pool worker: drive one contiguous chunk of eligible edges.
 
     Each forked child builds the blocks its chunk needs through its own
     window (spill filenames are pid-scoped, so siblings never collide)
-    and evicts them when done.
+    and evicts them when done. Its instruments go to a private registry
+    whose export comes back with the count for the parent to merge.
     """
     state = worker_state()
+    metrics = MetricsRegistry()
     try:
-        return _run_units(state, int(chunk[0]), int(chunk[-1]) + 1, c, prune, verify)
+        total, pieces = _run_units(
+            state, int(chunk[0]), int(chunk[-1]) + 1, c, prune, verify, metrics
+        )
     finally:
         state[0].evict_all()
+    return total, pieces, [metrics.to_dict()]
 
 
-def _merge(
-    a: Tuple[int, List[np.ndarray]], b: Tuple[int, List[np.ndarray]]
-) -> Tuple[int, List[np.ndarray]]:
-    return a[0] + b[0], a[1] + b[1]
+def _merge(a: _Partial, b: _Partial) -> _Partial:
+    return a[0] + b[0], a[1] + b[1], a[2] + b[2]
 
 
 def execute(
@@ -480,12 +487,15 @@ def execute(
                 combine=_merge,
                 n_workers=workers,
                 state=state,
-                initial=(0, []),
+                initial=(0, [], []),
                 tracker=tracker,
                 weights=comms.sizes[eligible].astype(np.float64),
             )
             assert got is not None
-            total, pieces = got
+            total, pieces, exports = got
+            if metrics is not None:
+                for exported in exports:
+                    metrics.merge(exported)
         else:
             total, pieces = _run_units(
                 state, 0, int(eligible.size), k - 2, prune, verify, metrics

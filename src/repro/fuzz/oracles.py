@@ -7,7 +7,10 @@ messages`` (empty list = the property holds). Two kinds:
   frontier cold / warm-prepared / kernelized, the sharded plan, the
   process fan-outs with ``workers > 1``, the ``auto`` façade) must agree on
   counts, canonical listings, and existence witnesses — and, on small
-  instances, with the brute-force oracle.
+  instances, with the brute-force oracle. ``service-versions`` holds the
+  query service to the same standard: every answer it gives while
+  mutations race the queries equals a cold reference recount of the
+  graph version the reply reports.
 * **Metamorphic** — known input→output relations that need no external
   oracle: vertex-relabeling invariance, disjoint-union additivity,
   edge-deletion monotonicity (with the exact listing-derived delta),
@@ -29,9 +32,10 @@ every observed count, and an injected off-by-one must surface as an
 
 from __future__ import annotations
 
+import asyncio
 import math
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +52,7 @@ from ..dynamic import DynamicGraph, random_trace
 from ..graphs.builder import complete_graph
 from ..graphs.csr import CSRGraph
 from ..pram.tracker import Tracker
+from ..service.daemon import CliqueService
 from .strategies import edge_list, graph_from_edge_list
 
 __all__ = [
@@ -458,6 +463,219 @@ def oracle_spectrum(
     return violations
 
 
+# Query coroutines racing the mutation coroutine in ``service-versions``.
+SERVICE_QUERY_TASKS = 4
+SERVICE_QUERIES_PER_TASK = 6
+_SERVICE_OPS = ("count", "list", "find", "spectrum")
+
+
+def _query_plan(rng: np.random.Generator, k: int) -> List[Dict[str, Any]]:
+    """One coroutine's requests: every op once, in a random order, plus extras."""
+    ops = list(rng.permutation(_SERVICE_OPS))
+    ops += list(rng.choice(_SERVICE_OPS, SERVICE_QUERIES_PER_TASK - len(ops)))
+    plan = []
+    for op in ops:
+        j = int(rng.integers(max(1, k - 1), k + 1))
+        size = {"k_max": j} if op == "spectrum" else {"k": j}
+        plan.append({"op": str(op), "graph": "g", **size})
+    return plan
+
+
+async def _race_service(
+    graph: CSRGraph,
+    k: int,
+    trace: List[Dict[str, Any]],
+    plans: List[List[Dict[str, Any]]],
+) -> Tuple[list, list, list, Dict[str, Any]]:
+    """Fire the plans at a fresh service while the trace mutates its graph.
+
+    A warm-up count first builds the version-0 triangles, communities
+    and frontier tables, so every mutation goes through the
+    patch-in-place path instead of leaving pieces to rebuild lazily. The
+    repeat pass re-asks each distinct request once, sequentially, after
+    the last mutation.
+    Returns the mutate replies, the ``(request, reply)`` pairs of the
+    racing and repeat phases, and the final ``stats`` result.
+    """
+    service = CliqueService(workers=SERVICE_QUERY_TASKS)
+    try:
+        service.registry.register("g", graph=graph)
+        handle = service.handle
+        warmup = {"op": "count", "graph": "g", "k": k}
+        racing = [(warmup, await handle(warmup))]
+
+        async def mutator() -> list:
+            return [
+                await handle(
+                    {"op": "mutate", "graph": "g", "mutation": step["op"],
+                     "batch": step["batch"]}
+                )
+                for step in trace
+            ]
+
+        async def querier(plan: List[Dict[str, Any]]) -> list:
+            return [(req, await handle(req)) for req in plan]
+
+        mutated, *answered = await asyncio.gather(
+            mutator(), *(querier(plan) for plan in plans)
+        )
+        for pairs in answered:
+            racing.extend(pairs)
+        distinct = {tuple(sorted(r.items())): r for p in plans for r in p}
+        repeat = [
+            (req, await handle(req)) for _, req in sorted(distinct.items())
+        ]
+        stats = (await handle({"op": "stats"}))["result"]
+    finally:
+        await service.aclose()
+    return mutated, racing, repeat, stats
+
+
+def _versioned_graphs(
+    graph: CSRGraph, trace: List[Dict[str, Any]], mutated: list
+) -> Tuple[Dict[int, CSRGraph], List[str]]:
+    """Each version a mutate reply reported, rebuilt from the trace."""
+    graphs = {0: graph}
+    edges = set(edge_list(graph))
+    version = 0
+    for step, reply in zip(trace, mutated):
+        if not reply.get("ok"):
+            return graphs, [f"mutation {step['op']} failed: {reply['error']}"]
+        reported = reply["result"]["version"]
+        if reported != version + 1:
+            return graphs, [
+                f"mutation after version {version} reported version {reported}"
+            ]
+        batch = {(int(u), int(v)) for u, v in step["batch"]}
+        edges = edges | batch if step["op"] == "insert" else edges - batch
+        version = reported
+        graphs[version] = graph_from_edge_list(sorted(edges), graph.num_vertices)
+    return graphs, []
+
+
+def oracle_service_versions(
+    graph: CSRGraph, k: int, rng: np.random.Generator
+) -> List[str]:
+    """Service answers under concurrent mutation match their versions.
+
+    The dynamic-vs-scratch oracle lifted to the query service: a fresh
+    in-process :class:`~repro.service.daemon.CliqueService` serves the
+    graph while one coroutine applies a :func:`random_trace` of batches
+    and :data:`SERVICE_QUERY_TASKS` coroutines fire ``count`` / ``list``
+    / ``find`` / ``spectrum`` with no barrier between them. Every reply
+    is checked against a cold ``engine="reference"`` count or listing of
+    the version it reports (a ``find`` witness must be a clique of that
+    version). The service must report no errors, account every query as
+    an engine run, a coalesced follower or a rejection, and serve a
+    sequential repeat pass over the final version warm.
+    """
+    trace = random_trace(
+        graph, batches=3, batch_size=3, seed=int(rng.integers(2**31))
+    )
+    plans = [_query_plan(rng, k) for _ in range(SERVICE_QUERY_TASKS)]
+    mutated, racing, repeat, stats = asyncio.run(
+        _race_service(graph, k, trace, plans)
+    )
+    graphs, violations = _versioned_graphs(graph, trace, mutated)
+    final = max(graphs)
+    cold: Dict[int, PreparedGraph] = {}
+    counts: Dict[Tuple[int, int], int] = {}
+
+    def reference_count(version: int, j: int) -> int:
+        if (version, j) not in counts:
+            g = graphs[version]
+            ctx = cold.setdefault(version, PreparedGraph(g))
+            counts[version, j] = count_cliques(
+                g, j, engine="reference", prepared=ctx
+            ).count
+        return counts[version, j]
+
+    def reference_listing(version: int, j: int) -> List[List[int]]:
+        g = graphs[version]
+        ctx = cold.setdefault(version, PreparedGraph(g))
+        return [
+            list(c)
+            for c in list_cliques(g, j, engine="reference", prepared=ctx)
+        ]
+
+    for phase, pairs in (("racing", racing), ("repeat", repeat)):
+        for request, reply in pairs:
+            where = f"{phase} {request['op']} " + ", ".join(
+                f"{key}={request[key]}" for key in ("k", "k_max") if key in request
+            )
+            if not reply.get("ok"):
+                violations.append(f"{where} failed: {reply['error']}")
+                continue
+            result = reply["result"]
+            version = result.get("version")
+            if version not in graphs:
+                violations.append(f"{where} reported unknown version {version}")
+                continue
+            where += f" at version {version}"
+            if phase == "repeat":
+                if version != final:
+                    where += f" (final version is {final})"
+                    violations.append(f"{where}: repeat pass saw a stale version")
+                if not result.get("warm"):
+                    violations.append(f"{where}: repeat pass was served cold")
+            g = graphs[version]
+            if request["op"] == "count":
+                want = reference_count(version, request["k"])
+                if result["count"] != want:
+                    violations.append(
+                        f"{where} answered {result['count']}, reference "
+                        f"counts {want}"
+                    )
+            elif request["op"] == "list":
+                want = reference_listing(version, request["k"])
+                if result["cliques"] != want:
+                    violations.append(
+                        f"{where} listed {len(result['cliques'])} cliques, "
+                        f"reference lists {len(want)} (first diff: "
+                        f"{_first_diff(result['cliques'], want)})"
+                    )
+            elif request["op"] == "find":
+                j = request["k"]
+                exists = reference_count(version, j) > 0
+                witness = result.get("witness") or []
+                real = len(set(witness)) == j == len(witness) and all(
+                    g.has_edge(int(a), int(b))
+                    for i, a in enumerate(witness)
+                    for b in witness[i + 1:]
+                )
+                if result["found"] != exists or (exists and not real):
+                    violations.append(
+                        f"{where} returned witness {result.get('witness')!r}; "
+                        f"the reference {j}-clique count is "
+                        f"{reference_count(version, j)}"
+                    )
+            else:
+                spectrum = {int(j): c for j, c in result["spectrum"].items()}
+                for j in range(1, request["k_max"] + 1):
+                    want = reference_count(version, j)
+                    if spectrum.get(j, 0) != want:
+                        violations.append(
+                            f"{where} spectrum[{j}] = {spectrum.get(j)}, "
+                            f"reference counts {want}"
+                        )
+    service = stats["service"]
+    queries = sum(service.get(f"service.op.{op}", 0) for op in _SERVICE_OPS)
+    accounted = sum(
+        service.get(f"service.{name}", 0)
+        for name in ("engine_runs", "coalesced", "rejected")
+    )
+    if queries != len(racing) + len(repeat) or accounted != queries:
+        violations.append(
+            f"service stats account {accounted} of {queries} queries "
+            f"({len(racing) + len(repeat)} were sent)"
+        )
+    if service.get("service.errors", 0):
+        violations.append(
+            f"service counted {service['service.errors']} errors"
+        )
+    return violations
+
+
 ORACLES: Dict[str, Callable[[CSRGraph, int, np.random.Generator], List[str]]] = {
     "engines": oracle_engines,
     "process": oracle_process,
@@ -469,6 +687,7 @@ ORACLES: Dict[str, Callable[[CSRGraph, int, np.random.Generator], List[str]]] = 
     "dynamic-vs-scratch": oracle_dynamic_vs_scratch,
     "planted": oracle_planted,
     "spectrum": oracle_spectrum,
+    "service-versions": oracle_service_versions,
 }
 
 

@@ -21,10 +21,8 @@ a one-shot report.
 
 from .compare import (
     DEFAULT_METRICS,
-    DEFAULT_TRACE_METRICS,
     CellDelta,
     ComparisonReport,
-    TraceDelta,
     compare_records,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -56,11 +54,9 @@ __all__ = [
     "load_record",
     "entry_key",
     "CellDelta",
-    "TraceDelta",
     "ComparisonReport",
     "compare_records",
     "DEFAULT_METRICS",
-    "DEFAULT_TRACE_METRICS",
     "ProfileReport",
     "profile_run",
     "format_profile",

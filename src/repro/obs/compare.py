@@ -34,29 +34,12 @@ from .records import entry_key
 
 __all__ = [
     "CellDelta",
-    "TraceDelta",
     "ComparisonReport",
     "compare_records",
     "DEFAULT_METRICS",
-    "DEFAULT_TRACE_METRICS",
 ]
 
 DEFAULT_METRICS: Tuple[str, ...] = ("work", "depth", "wall_mean")
-
-# Trace SLO metrics and their good direction. "up" means growth is the
-# regression (tail latency, errors); "down" means shrinkage is (warm-hit
-# rate, throughput). CI watches the deterministic ones by default —
-# warm_hit_rate and errors are exact functions of the trace for a
-# sequential replay on a fresh daemon; latency metrics are wall-clock
-# noisy and belong in local runs with generous tolerances.
-DEFAULT_TRACE_METRICS: Tuple[str, ...] = ("warm_hit_rate", "errors")
-
-_TRACE_BAD_UP: Tuple[str, ...] = (
-    "errors", "p50_ms", "p95_ms", "p99_ms", "wall_s",
-)
-_TRACE_BAD_DOWN: Tuple[str, ...] = (
-    "warm_hit_rate", "throughput_qps", "warm_hits", "coalesced",
-)
 
 
 @dataclass
@@ -84,37 +67,6 @@ class CellDelta:
 
 
 @dataclass
-class TraceDelta:
-    """One SLO metric of one workload trace, baseline vs current.
-
-    ``direction`` is the *bad* direction for the metric: ``"up"`` for
-    tail latency and errors, ``"down"`` for warm-hit rate and
-    throughput. A regression is a move past tolerance in that direction.
-    """
-
-    name: str
-    metric: str
-    baseline: float
-    current: float
-    direction: str
-
-    @property
-    def ratio(self) -> float:
-        if self.baseline == 0:
-            return float("inf") if self.current > 0 else 1.0
-        return self.current / self.baseline
-
-    def describe(self) -> str:
-        moved = "up" if self.current > self.baseline else "down"
-        return (
-            f"trace {self.name!r} {self.metric}: "
-            f"{self.baseline:.6g} -> {self.current:.6g} "
-            f"({self.ratio:.3f}x, moved {moved}; bad direction: "
-            f"{self.direction})"
-        )
-
-
-@dataclass
 class ComparisonReport:
     """Outcome of one baseline-vs-current comparison."""
 
@@ -127,14 +79,6 @@ class ComparisonReport:
     missing_cells: List[str] = field(default_factory=list)
     new_cells: List[str] = field(default_factory=list)
     compared_cells: int = 0
-    trace_tolerance: float = 0.0
-    trace_metrics: Tuple[str, ...] = ()
-    trace_regressions: List[TraceDelta] = field(default_factory=list)
-    trace_improvements: List[TraceDelta] = field(default_factory=list)
-    checksum_mismatches: List[str] = field(default_factory=list)
-    missing_traces: List[str] = field(default_factory=list)
-    new_traces: List[str] = field(default_factory=list)
-    compared_traces: int = 0
 
     @property
     def ok(self) -> bool:
@@ -142,15 +86,13 @@ class ComparisonReport:
             not self.regressions
             and not self.count_mismatches
             and not self.engine_mismatches
-            and not self.trace_regressions
-            and not self.checksum_mismatches
         )
 
     def breaches(self) -> List[str]:
         """One line per breached field: what failed, where, by how much.
 
         This is the exit-3 diagnostic: each line names the *metric* (or
-        the fatal mismatch class) first, then the cell/trace, so the CI
+        the fatal mismatch class) first, then the cell, so the CI
         log says which tolerance was breached without decoding the full
         summary.
         """
@@ -164,59 +106,25 @@ class ComparisonReport:
             for s in self.engine_mismatches
         )
         lines.extend(
-            f"count_checksum mismatch (fatal) in {s.split(':', 1)[0]}"
-            for s in self.checksum_mismatches
-        )
-        lines.extend(
             f"metric {d.metric!r} breached tolerance {self.tolerance:g} "
             f"in cell {d.key[0]}/{d.key[1]}/k={d.key[2]} "
             f"({d.baseline:.6g} -> {d.current:.6g})"
             for d in self.regressions
         )
-        lines.extend(
-            f"trace metric {d.metric!r} breached tolerance "
-            f"{self.trace_tolerance:g} in trace {d.name!r} "
-            f"({d.baseline:.6g} -> {d.current:.6g}, bad direction: "
-            f"{d.direction})"
-            for d in self.trace_regressions
-        )
         return lines
 
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
-        header = (
+        lines = [
             f"bench compare {status}: {self.compared_cells} cell(s), "
             f"metrics={','.join(self.metrics)}, tolerance={self.tolerance:g}"
-        )
-        if self.trace_metrics or self.compared_traces:
-            header += (
-                f"; {self.compared_traces} trace(s), "
-                f"trace_metrics={','.join(self.trace_metrics)}, "
-                f"trace_tolerance={self.trace_tolerance:g}"
-            )
-        lines = [header]
+        ]
         lines.extend(f"  COUNT MISMATCH {s}" for s in self.count_mismatches)
         lines.extend(f"  ENGINE MISMATCH {s}" for s in self.engine_mismatches)
-        lines.extend(
-            f"  CHECKSUM MISMATCH {s}" for s in self.checksum_mismatches
-        )
         lines.extend(f"  REGRESSION {d.describe()}" for d in self.regressions)
-        lines.extend(
-            f"  TRACE REGRESSION {d.describe()}"
-            for d in self.trace_regressions
-        )
         lines.extend(f"  improved   {d.describe()}" for d in self.improvements)
-        lines.extend(
-            f"  improved   {d.describe()}" for d in self.trace_improvements
-        )
         lines.extend(f"  (baseline-only cell: {s})" for s in self.missing_cells)
         lines.extend(f"  (new cell, no baseline: {s})" for s in self.new_cells)
-        lines.extend(
-            f"  (baseline-only trace: {s})" for s in self.missing_traces
-        )
-        lines.extend(
-            f"  (new trace, no baseline: {s})" for s in self.new_traces
-        )
         return "\n".join(lines)
 
 
@@ -226,32 +134,18 @@ def compare_records(
     tolerance: float = 0.25,
     metrics: Sequence[str] = DEFAULT_METRICS,
     improvement_threshold: float = 0.10,
-    trace_tolerance: float = 0.10,
-    trace_metrics: Sequence[str] = DEFAULT_TRACE_METRICS,
 ) -> ComparisonReport:
-    """Compare two bench records cell by cell (and trace by trace).
+    """Compare two bench records cell by cell.
 
     A regression is ``current > baseline * (1 + tolerance)`` on any
     watched metric; an improvement is a drop of more than
     ``improvement_threshold`` (reported so a future PR can tighten the
     baseline). Cells present in only one record are reported but do not
     fail the comparison — the matrix is allowed to grow.
-
-    Workload traces (schema v3 ``traces`` rows) are joined by name and
-    gated on ``trace_metrics`` with ``trace_tolerance``, each metric in
-    its own bad direction (latency/errors up, hit-rate/throughput
-    down). A ``count_checksum`` or query-count mismatch between joined
-    traces is fatal, exactly like an entry count mismatch: the two
-    records replayed different computations.
     """
-    if tolerance < 0 or trace_tolerance < 0:
+    if tolerance < 0:
         raise ValueError("tolerance must be non-negative")
-    report = ComparisonReport(
-        tolerance=tolerance,
-        metrics=tuple(metrics),
-        trace_tolerance=trace_tolerance,
-        trace_metrics=tuple(trace_metrics),
-    )
+    report = ComparisonReport(tolerance=tolerance, metrics=tuple(metrics))
     base_by_key = {entry_key(e): e for e in baseline["entries"]}
     cur_by_key = {entry_key(e): e for e in current["entries"]}
 
@@ -295,76 +189,4 @@ def compare_records(
                 report.regressions.append(delta)
             elif delta.current < delta.baseline * (1.0 - improvement_threshold):
                 report.improvements.append(delta)
-
-    base_traces = {
-        t["name"]: t
-        for t in baseline.get("traces", [])
-        if isinstance(t, dict) and "name" in t
-    }
-    cur_traces = {
-        t["name"]: t
-        for t in current.get("traces", [])
-        if isinstance(t, dict) and "name" in t
-    }
-    for name in sorted(base_traces):
-        if name not in cur_traces:
-            report.missing_traces.append(name)
-    for name in sorted(cur_traces):
-        if name not in base_traces:
-            report.new_traces.append(name)
-            continue
-        base, cur = base_traces[name], cur_traces[name]
-        report.compared_traces += 1
-        if base.get("queries") != cur.get("queries"):
-            report.checksum_mismatches.append(
-                f"trace {name!r}: baseline replayed "
-                f"{base.get('queries')} queries, current "
-                f"{cur.get('queries')} — different workloads"
-            )
-            continue
-        if base.get("count_checksum") != cur.get("count_checksum"):
-            report.checksum_mismatches.append(
-                f"trace {name!r}: count_checksum "
-                f"{base.get('count_checksum')} -> "
-                f"{cur.get('count_checksum')} — the replays computed "
-                f"different results"
-            )
-            continue
-        for metric in trace_metrics:
-            if metric not in base or metric not in cur:
-                continue
-            if metric in _TRACE_BAD_UP:
-                direction = "up"
-            elif metric in _TRACE_BAD_DOWN:
-                direction = "down"
-            else:
-                raise ValueError(
-                    f"unknown trace metric {metric!r} (known: "
-                    f"{sorted(_TRACE_BAD_UP + _TRACE_BAD_DOWN)})"
-                )
-            delta = TraceDelta(
-                name=name,
-                metric=metric,
-                baseline=float(base[metric]),
-                current=float(cur[metric]),
-                direction=direction,
-            )
-            if direction == "up":
-                regressed = delta.current > delta.baseline * (
-                    1.0 + trace_tolerance
-                )
-                improved = delta.current < delta.baseline * (
-                    1.0 - improvement_threshold
-                )
-            else:
-                regressed = delta.current < delta.baseline * (
-                    1.0 - trace_tolerance
-                )
-                improved = delta.current > delta.baseline * (
-                    1.0 + improvement_threshold
-                )
-            if regressed:
-                report.trace_regressions.append(delta)
-            elif improved:
-                report.trace_improvements.append(delta)
     return report

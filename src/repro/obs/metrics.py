@@ -139,6 +139,21 @@ class Histogram:
             self.min = lo
         self.max = max(self.max, float(arr.max()))
 
+    def absorb(self, data: Dict[str, Any]) -> None:
+        """Pool another histogram's :meth:`to_dict` export into this one."""
+        if not data["count"]:
+            return
+        self.count += data["count"]
+        self.total += data["sum"]
+        if self.min is None or data["min"] < self.min:
+            self.min = data["min"]
+        self.max = max(self.max, data["max"])
+        buckets = data["buckets"]
+        if len(buckets) > len(self.buckets):
+            self.buckets.extend([0] * (len(buckets) - len(self.buckets)))
+        for i, c in enumerate(buckets):
+            self.buckets[i] += c
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -208,6 +223,20 @@ class MetricsRegistry:
 
     def names(self) -> List[str]:
         return sorted(self._instruments)
+
+    def merge(self, exported: Dict[str, Dict[str, Any]]) -> None:
+        """Fold another registry's :meth:`to_dict` export into this one.
+
+        Counters add, gauges keep the larger peak, histograms pool: how
+        a worker process's instruments reach its parent's registry.
+        """
+        for name, data in exported.items():
+            if data["type"] == "counter":
+                self.counter(name).inc(data["value"])
+            elif data["type"] == "gauge":
+                self.gauge(name).set_max(data["max"])
+            else:
+                self.histogram(name).absorb(data)
 
     def to_dict(self) -> Dict[str, Dict[str, Any]]:
         """Export every instrument, keyed by name, sorted for determinism."""

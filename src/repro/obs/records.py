@@ -34,8 +34,9 @@ __all__ = [
 
 SCHEMA = "repro/bench-record"
 # Version 2 added the optional ``peak_rss_kb`` entry field; version 3
-# added the optional top-level ``traces`` list (workload-replay rows).
-# Version-1/-2 baselines (no such fields) still load and compare.
+# added a top-level ``traces`` list that is no longer written. Unknown
+# top-level keys are ignored, so version-1/-2 baselines and v3 files
+# that still carry ``traces`` load and compare.
 SCHEMA_VERSION = 3
 
 # Required per-entry numeric fields and their types. ``count`` is the
@@ -66,35 +67,6 @@ _OPTIONAL_ENTRY_FIELDS: Dict[str, type] = {
 }
 
 
-# Required per-trace fields for workload-replay rows (schema v3).
-# ``count_checksum`` is the trace's correctness anchor, playing the role
-# ``count`` plays for entries: it chains a CRC32 over every query's
-# semantic result in trace order, so two records whose checksums differ
-# replayed different computations and are never comparable.
-_TRACE_FIELDS: Dict[str, type] = {
-    "name": str,
-    "seed": int,
-    "queries": int,
-    "mutations": int,
-    "errors": int,
-    "warm_hits": int,
-    "warm_hit_rate": float,
-    "coalesced": int,
-    "throughput_qps": float,
-    "p50_ms": float,
-    "p95_ms": float,
-    "p99_ms": float,
-    "wall_s": float,
-    "count_checksum": int,
-}
-
-_OPTIONAL_TRACE_FIELDS: Dict[str, type] = {
-    "concurrency": int,
-    "graphs": list,
-    "spec": dict,
-}
-
-
 def entry_key(entry: Dict[str, Any]) -> tuple:
     """The identity of a cell: records are joined on (graph, algorithm, k)."""
     return (entry["graph"], entry["algorithm"], entry["k"])
@@ -105,7 +77,6 @@ def make_record(
     metrics: Optional[Dict[str, Any]] = None,
     spans: Optional[Dict[str, Any]] = None,
     note: str = "",
-    traces: Optional[List[Dict[str, Any]]] = None,
 ) -> Dict[str, Any]:
     """Build a schema-conforming record from harness ``Measurement``s."""
     entries = []
@@ -139,8 +110,6 @@ def make_record(
         record["metrics"] = metrics
     if spans is not None:
         record["spans"] = spans
-    if traces is not None:
-        record["traces"] = traces
     return record
 
 
@@ -196,43 +165,6 @@ def validate_record(record: Any) -> List[str]:
             if key in seen:
                 errors.append(f"entries[{i}] duplicates cell {key}")
             seen.add(key)
-    traces = record.get("traces")
-    if traces is not None:
-        if not isinstance(traces, list):
-            errors.append("traces must be a list when present")
-            return errors
-        trace_names = set()
-        for i, trace in enumerate(traces):
-            if not isinstance(trace, dict):
-                errors.append(f"traces[{i}] must be an object")
-                continue
-            for field, typ in _TRACE_FIELDS.items():
-                if field not in trace:
-                    errors.append(f"traces[{i}] missing field {field!r}")
-                    continue
-                value = trace[field]
-                ok = (
-                    isinstance(value, (int, float))
-                    and not isinstance(value, bool)
-                    if typ is float
-                    else isinstance(value, typ) and not isinstance(value, bool)
-                )
-                if not ok:
-                    errors.append(
-                        f"traces[{i}].{field} must be {typ.__name__}, "
-                        f"got {type(value).__name__}"
-                    )
-            for field, typ in _OPTIONAL_TRACE_FIELDS.items():
-                if field in trace and not isinstance(trace[field], typ):
-                    errors.append(
-                        f"traces[{i}].{field} must be {typ.__name__}, "
-                        f"got {type(trace[field]).__name__}"
-                    )
-            name = trace.get("name")
-            if isinstance(name, str):
-                if name in trace_names:
-                    errors.append(f"traces[{i}] duplicates trace {name!r}")
-                trace_names.add(name)
     return errors
 
 

@@ -16,14 +16,17 @@
   (``Tracker().assert_fresh()`` — trackers are single-call-stack
   objects, see the tracker module docs) attached to the service's one
   shared :class:`~repro.obs.metrics.MetricsRegistry`.
-* **Coalescing** — concurrent identical queries (same graph **at the
-  same registry version**, same ``(op, k, variant, engine, kernelize,
-  prune)``) are single-flighted: the first becomes the leader and runs
-  the engine, the rest await the same future and fan out its result
-  (``service.coalesced``). The version token in the key is what keeps a
-  mutation racing a query consistent: queries admitted before the
-  mutation resolve against the old snapshot, queries after it start a
-  new flight against the new one — no flight ever mixes snapshots.
+* **Coalescing** — concurrent identical queries (same graph
+  **snapshot**, same ``(op, k, variant, engine, kernelize, prune)``)
+  are single-flighted: the first becomes the leader and runs the
+  engine, the rest await the same future and fan out its result
+  (``service.coalesced``). The key holds the snapshot's immutable
+  ``CSRGraph`` itself, not its name and version: every mutation swaps
+  in a new graph object, so queries admitted before it resolve against
+  the old snapshot and queries after it start a new flight, and a name
+  re-registered while an old flight runs (its version restarts at 0)
+  can never join that flight. The key keeps the graph alive until the
+  flight ends, so its identity cannot be reused meanwhile.
 * **Admission** — flight leaders are priced by
   :func:`repro.service.admission.estimate_query` (the paper's work
   bounds over the registry's n/m/s/γ stats) and pass through the
@@ -449,10 +452,7 @@ class CliqueService:
         kernelize = field(request, "kernelize", bool, default=False)
         prune = field(request, "prune", bool, default=True)
         estimate = self._estimate(graph, stats, "count", k=k)
-        key = (
-            entry.name, stats.version, "count", k, variant, engine,
-            kernelize, prune,
-        )
+        key = (graph, "count", k, variant, engine, kernelize, prune)
         runner = functools.partial(
             _run_count,
             graph, k, variant, engine, kernelize, prune,
@@ -484,7 +484,7 @@ class CliqueService:
         estimate = self._estimate(graph, stats, "list", k=k)
         # The limit is applied per-response, not per-flight: requests
         # differing only in limit still coalesce onto one listing run.
-        key = (entry.name, stats.version, "list", k, variant, engine, kernelize)
+        key = (graph, "list", k, variant, engine, kernelize)
         runner = functools.partial(
             _run_list,
             graph, k, variant, engine, kernelize,
@@ -509,7 +509,7 @@ class CliqueService:
         if k < 1:
             raise ServiceError("bad-request", f"k must be >= 1, got {k}")
         estimate = self._estimate(graph, stats, "find", k=k)
-        key = (entry.name, stats.version, "find", k)
+        key = (graph, "find", k)
         runner = functools.partial(
             _run_find, graph, k, self.eps, self.cache, self.metrics
         )
@@ -528,7 +528,7 @@ class CliqueService:
                 "bad-request", f"k_max must be >= 1, got {k_max}"
             )
         estimate = self._estimate(graph, stats, "spectrum", k_max=k_max)
-        key = (entry.name, stats.version, "spectrum", k_max)
+        key = (graph, "spectrum", k_max)
         runner = functools.partial(
             _run_spectrum, graph, k_max, self.eps, self.cache,
             self.metrics,

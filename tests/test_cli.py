@@ -1,5 +1,9 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -200,3 +204,25 @@ class TestFuzz:
     def test_unknown_oracle_is_an_error(self, capsys):
         assert main(["fuzz", "--budget", "1", "--oracle", "nope"]) == 1
         assert "unknown oracle" in capsys.readouterr().err
+
+
+class TestClosedPipe:
+    def test_reader_closing_the_pipe_prints_no_traceback(self):
+        # `repro list chebyshev4 -k 5 | head -1`: the listing outgrows the
+        # pipe buffer after the reader has gone.
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        path = os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "list", "chebyshev4", "-k", "5"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.stdout.readline().split() == [b"0", b"1", b"2", b"3", b"4"]
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err, err

@@ -121,6 +121,24 @@ def test_shard_metrics_only_on_spilled_plans():
         assert ("shard.wall_imbalance" in names) == want_shards
 
 
+def test_worker_processes_report_frontier_metrics():
+    # Pairs and children are per-edge sums, so chunking the eligible
+    # edges over processes must not change them.
+    g = gnm_random_graph(60, 500, seed=1)
+    seen = {}
+    for workers in (None, 2):
+        registry = MetricsRegistry()
+        tracker = Tracker()
+        tracker.attach_metrics(registry)
+        assert count_cliques(g, 5, workers=workers, tracker=tracker).count > 0
+        seen[workers] = {
+            name: registry.counter(name).value
+            for name in ("frontier.pairs", "frontier.children")
+        }
+    assert seen[2] == seen[None]
+    assert seen[None]["frontier.pairs"] > 0
+
+
 @pytest.mark.parametrize("engine", ["bitset", "process"])
 def test_removed_engines_are_rejected(engine):
     g = complete_graph(6)

@@ -75,15 +75,13 @@ def _git_status():
     reason="needs a git checkout",
 )
 def test_file_writing_tests_leave_the_tree_clean():
-    """The tests that write files (the figure example, the replay
-    ``--compare`` record) must leave ``git status`` as they found it."""
+    """The tests that write files (the figure example) must leave
+    ``git status`` as they found it."""
     before = _git_status()
     proc = subprocess.run(
         [
             sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
             "tests/test_examples.py::test_example_runs[reproduce_figures.py]",
-            "tests/test_bench_workload.py::TestReplayCLI"
-            "::test_replay_compare_pass_and_breach",
         ],
         cwd=REPO_ROOT,
         capture_output=True,

@@ -105,3 +105,43 @@ class TestMetamorphicEdgeCases:
         # Petersen: spectrum must be zero from k=3 up, with no support gap.
         petersen = build_family("kneser", {"ground": 5, "subset": 2})
         assert run_oracle("spectrum", petersen, 4) == []
+
+
+class TestServiceVersionsOracle:
+    """Service answers racing mutations are checked against their version."""
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("sbm", {"block_sizes": [6, 5, 5], "p_in": 0.8, "p_out": 0.1,
+                     "seed": 3}),
+            ("lattice", {"dims": [3, 4], "periodic": True, "diagonals": True}),
+            ("watts-strogatz", {"n": 16, "k_ring": 4, "p_rewire": 0.2,
+                                "seed": 1}),
+            ("clique-chain", {"n_cliques": 3, "clique_size": 5, "overlap": 2}),
+        ],
+        ids=["sbm", "lattice", "watts-strogatz", "clique-chain"],
+    )
+    def test_holds_on_families(self, family, params):
+        g = build_family(family, params)
+        for k in (4, 5):
+            assert run_oracle("service-versions", g, k, seed=11) == [], k
+
+    def test_lying_service_is_caught(self, monkeypatch):
+        import repro.service.daemon as daemon
+
+        honest = daemon._run_count
+        seen = []
+
+        def lying(graph, k, *args, **kwargs):
+            result = honest(graph, k, *args, **kwargs)
+            if not any(g is graph for g in seen):
+                seen.append(graph)
+            if len(seen) > 1 and graph is seen[1]:
+                result["count"] += 1  # wrong on exactly one version
+            return result
+
+        monkeypatch.setattr(daemon, "_run_count", lying)
+        msgs = run_oracle("service-versions", complete_graph(7), 4, seed=3)
+        assert msgs
+        assert all("reference counts" in m for m in msgs)

@@ -41,8 +41,9 @@ class TestCleanCampaign:
     def test_default_oracles_and_ks(self):
         report = run_fuzz(budget=1, seed=0, max_vertices=10)
         assert report.ks == DEFAULT_KS
-        assert len(report.oracles) == 10
+        assert len(report.oracles) == 11
         assert "dynamic-vs-scratch" in report.oracles
+        assert "service-versions" in report.oracles
 
     def test_metrics_are_populated(self):
         metrics = MetricsRegistry()

@@ -102,6 +102,22 @@ class TestRegistry:
         }
         assert hist["count"] == 2 and hist["sum"] == 11
 
+    def test_merge_folds_an_export_in(self):
+        child = MetricsRegistry()
+        child.counter("events").inc(3)
+        child.gauge("peak").set(7)
+        child.histogram("sizes").record_many([2, 9])
+        parent = MetricsRegistry()
+        parent.counter("events").inc(1)
+        parent.gauge("peak").set(4)
+        parent.histogram("sizes").record(1)
+        parent.merge(child.to_dict())
+        assert parent.counter("events").value == 4
+        assert parent.gauge("peak").max == 7
+        whole = MetricsRegistry()
+        whole.histogram("sizes").record_many([1, 2, 9])
+        assert parent.to_dict()["sizes"] == whole.to_dict()["sizes"]
+
     def test_export_is_json_serializable_and_sorted(self):
         import json
 

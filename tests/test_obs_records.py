@@ -68,6 +68,16 @@ class TestRecordSchema:
     def test_non_object_rejected(self):
         assert validate_record([1, 2, 3])
 
+    def test_older_records_still_load(self):
+        # v2 records lack the v3 extras; v3 files may still carry the
+        # retired ``traces`` list. Both validate: unknown keys are ignored.
+        rec = _record()
+        rec["version"] = 2
+        assert validate_record(rec) == []
+        rec["version"] = 3
+        rec["traces"] = [{"name": "ci-zoo", "queries": 24}]
+        assert validate_record(rec) == []
+
 
 class TestWriteLoad:
     def test_round_trip(self, tmp_path):
@@ -236,3 +246,44 @@ class TestBenchCli:
         assert main(["profile", "gearbox", "-k", "4", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] >= 0 and "spans" in payload
+
+    # The exit-3 message must name the breached metric, not just the
+    # record.
+    def test_bench_exit3_names_the_metric(self, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        args = ["bench", "bio-sc-ht", "-k", "3", "--algos", "kclist"]
+        baseline = str(tmp_path / "base.json")
+        assert main(args + ["--out", baseline]) == 0
+        capsys.readouterr()
+        doc = json.load(open(baseline))
+        for entry in doc["entries"]:
+            entry["work"] = entry["work"] / 10.0  # current 10x worse
+        json.dump(doc, open(baseline, "w"))
+        code = main(args + [
+            "--out", str(tmp_path / "cur.json"),
+            "--compare", baseline, "--metrics", "work",
+            "--tolerance", "0.25",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "metric 'work' breached tolerance 0.25" in err
+        assert "bio-sc-ht/kclist/k=3" in err
+
+    def test_bench_exit3_names_count_mismatch(self, tmp_path, capsys):
+        from repro.cli import main
+
+        args = ["bench", "bio-sc-ht", "-k", "3", "--algos", "kclist"]
+        baseline = str(tmp_path / "base.json")
+        assert main(args + ["--out", baseline]) == 0
+        capsys.readouterr()
+        doc = json.load(open(baseline))
+        doc["entries"][0]["count"] += 1
+        json.dump(doc, open(baseline, "w"))
+        code = main(args + [
+            "--out", str(tmp_path / "cur.json"), "--compare", baseline,
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "count mismatch (fatal)" in err

@@ -227,6 +227,27 @@ class TestAdmission:
         assert counters["service.rejected"] == 1.0
         assert counters.get("service.engine_runs", 0.0) == 0.0
 
+    def test_tiny_budget_rejects_every_query_as_counted_error(self):
+        async def flow():
+            svc, cl = await _service(max_query_work=1e-9)
+            await cl.register("g", edges=EDGES)
+            requests = [
+                {"op": "count", "k": 3}, {"op": "count", "k": 4},
+                {"op": "list", "k": 3}, {"op": "find", "k": 3},
+                {"op": "spectrum"}, {"op": "spectrum", "k_max": 4},
+            ]
+            replies = [await svc.handle({"graph": "g", **r}) for r in requests]
+            stats = await cl.stats()
+            await svc.aclose()
+            return replies, stats["service"]
+
+        replies, counters = run(flow())
+        assert [r["ok"] for r in replies] == [False] * 6
+        assert {r["error"]["code"] for r in replies} == {"over-budget"}
+        assert counters["service.rejected"] == 6
+        assert counters["service.errors"] == 6
+        assert counters.get("service.engine_runs", 0) == 0
+
     def test_cheap_query_admitted_under_budget(self):
         async def flow():
             svc, cl = await _service(max_query_work=1e12)
@@ -358,6 +379,32 @@ class TestMutationRaces:
         for r in counts:
             assert r["count"] == by_version[r["version"]]
         assert counters["service.mutations"] == 1.0
+
+    def test_reregistered_name_never_joins_the_old_flight(self):
+        # Re-registering a name restarts its version at 0, so a key of
+        # (name, version) would hand the old graph's answer to the new one.
+        from repro.graphs import complete_graph
+
+        old, new = complete_graph(30), complete_graph(8)
+
+        async def flow():
+            svc = CliqueService(workers=2)
+            svc.registry.register("g", graph=old)
+            first = asyncio.ensure_future(
+                svc.handle({"op": "count", "graph": "g", "k": 6})
+            )
+            await asyncio.sleep(0)  # the old flight is now running
+            await svc.handle({"op": "unregister", "name": "g"})
+            svc.registry.register("g", graph=new)
+            second = await svc.handle({"op": "count", "graph": "g", "k": 6})
+            first = await first
+            await svc.aclose()
+            return first["result"], second["result"]
+
+        first, second = run(flow())
+        assert first["count"] == count_cliques(old, 6).count
+        assert second["count"] == count_cliques(new, 6).count
+        assert second["version"] == 0 and not second["coalesced"]
 
     def test_mutations_are_serialized_per_graph(self):
         async def flow():
