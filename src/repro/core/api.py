@@ -49,7 +49,7 @@ from ..pram.tracker import Tracker
 from .clique_listing import CliqueSearchResult
 from .existence import find_clique
 from .frontier import execute, resident_plan
-from .prepared import PreparedGraph, prepare
+from .prepared import PreparedGraph, prepare, prepared_for
 from .sharded import predict_table_bytes, spilled_plan
 from .recursive import SearchStats
 from .variants import VARIANTS, run_variant
@@ -201,6 +201,18 @@ def _synthesize_result(
     )
 
 
+def _context(
+    graph: CSRGraph,
+    prepared: Optional[PreparedGraph],
+    eps: float,
+    tracker: Tracker,
+) -> PreparedGraph:
+    """``prepared`` (checked against ``graph``), or the cache's shared one."""
+    if prepared is None:
+        return prepare(graph, eps=eps, tracker=tracker)
+    return prepared_for(graph, prepared)
+
+
 def _kernelized(
     graph: CSRGraph,
     ctx: PreparedGraph,
@@ -290,11 +302,7 @@ def count_cliques(
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     tracker = tracker if tracker is not None else Tracker()
-    ctx = prepared if prepared is not None else prepare(
-        graph, eps=eps, tracker=tracker
-    )
-    if ctx.graph is not graph:
-        raise ValueError("prepared context was built for a different graph")
+    ctx = _context(graph, prepared, eps, tracker)
 
     if kernelize:
         graph, ctx, _ = _kernelized(graph, ctx, k, tracker)
@@ -357,11 +365,7 @@ def list_cliques(
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     tracker = tracker if tracker is not None else Tracker()
-    ctx = prepared if prepared is not None else prepare(
-        graph, eps=eps, tracker=tracker
-    )
-    if ctx.graph is not graph:
-        raise ValueError("prepared context was built for a different graph")
+    ctx = _context(graph, prepared, eps, tracker)
 
     kern = None
     if kernelize:
@@ -416,7 +420,5 @@ def has_clique(
     """
     del variant  # the early-exit search needs no variant choice
     tracker = tracker if tracker is not None else Tracker()
-    ctx = prepared if prepared is not None else prepare(
-        graph, eps=eps, tracker=tracker
-    )
+    ctx = _context(graph, prepared, eps, tracker)
     return find_clique(graph, k, tracker=tracker, prepared=ctx) is not None

@@ -19,12 +19,10 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..graphs.digraph import orient_by_order
 from ..graphs.kernels import kcore_kernel
-from ..orders.degeneracy import degeneracy_order
 from ..pram.tracker import NULL_TRACKER, Tracker
 from .clique_listing import count_cliques_on_dag
-from .prepared import PreparedGraph
+from .prepared import PreparedGraph, prepared_for
 
 __all__ = ["per_vertex_clique_counts", "DensestResult", "kclique_densest_subgraph"]
 
@@ -45,8 +43,7 @@ def per_vertex_clique_counts(
     """
     if k < 1:
         raise ValueError(f"clique size must be >= 1, got {k}")
-    if prepared is not None and prepared.graph is not graph:
-        raise ValueError("prepared context was built for a different graph")
+    ctx = prepared_for(graph, prepared)
     n = graph.num_vertices
     counts = np.zeros(n, dtype=np.int64)
     if n == 0:
@@ -55,13 +52,8 @@ def per_vertex_clique_counts(
         return np.ones(n, dtype=np.int64)
     if k == 2:
         return graph.degrees.astype(np.int64)
-    if prepared is not None:
-        dag = prepared.dag("degeneracy", tracker)
-        comms = prepared.communities("degeneracy", tracker)
-    else:
-        order = degeneracy_order(graph, tracker=tracker).order
-        dag = orient_by_order(graph, order, tracker=tracker)
-        comms = None
+    dag = ctx.dag("degeneracy", tracker)
+    comms = ctx.communities("degeneracy", tracker)
     sub_tracker = Tracker() if tracker.enabled else NULL_TRACKER
     res = count_cliques_on_dag(dag, k, sub_tracker, comms=comms, collect=True)
     if tracker.enabled:

@@ -20,19 +20,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..graphs.digraph import OrientedDAG, orient_by_order
-from ..orders.degeneracy import degeneracy_order
+from ..graphs.digraph import OrientedDAG
 from ..pram.tracker import NULL_TRACKER, Tracker
-from ..triangles.communities import EdgeCommunities, build_communities
+from ..triangles.communities import EdgeCommunities
 from .clique_listing import count_cliques_on_dag
-from .prepared import PreparedGraph
+from .prepared import PreparedGraph, prepared_for
 
 __all__ = ["find_clique", "max_clique_size", "clique_spectrum"]
-
-
-def _check_prepared(graph: CSRGraph, prepared: Optional[PreparedGraph]) -> None:
-    if prepared is not None and prepared.graph is not graph:
-        raise ValueError("prepared context was built for a different graph")
 
 
 class _Found(Exception):
@@ -127,26 +121,17 @@ def find_clique(
     """
     if k < 1:
         raise ValueError(f"clique size must be >= 1, got {k}")
-    _check_prepared(graph, prepared)
+    ctx = prepared_for(graph, prepared)
     n = graph.num_vertices
     if k == 1:
         return (0,) if n else None
     if k == 2:
         us, vs = graph.edge_array()
         return (int(us[0]), int(vs[0])) if us.size else None
-
-    if prepared is not None:
-        if k > prepared.degeneracy(tracker) + 1:
-            return None  # an s-degenerate graph has no (s+2)-clique (§1.1)
-        dag = prepared.dag("degeneracy", tracker)
-        comms = prepared.communities("degeneracy", tracker)
-        return _witness_on_dag(dag, comms, k)
-
-    res = degeneracy_order(graph, tracker=tracker)
-    if k > res.degeneracy + 1:
+    if k > ctx.degeneracy(tracker) + 1:
         return None  # an s-degenerate graph has no (s+2)-clique (§1.1)
-    dag = orient_by_order(graph, res.order, tracker=tracker)
-    comms = build_communities(dag, tracker=tracker)
+    dag = ctx.dag("degeneracy", tracker)
+    comms = ctx.communities("degeneracy", tracker)
     return _witness_on_dag(dag, comms, k)
 
 
@@ -162,21 +147,15 @@ def max_clique_size(
     once and shared by every query (they depend only on the graph) — or
     reused from ``prepared`` across *calls* as well.
     """
-    _check_prepared(graph, prepared)
+    ctx = prepared_for(graph, prepared)
     n = graph.num_vertices
     if n == 0:
         return 0
     if graph.num_edges == 0:
         return 1
-    if prepared is not None:
-        s = prepared.degeneracy(tracker)
-        dag = prepared.dag("degeneracy", tracker)
-        comms = prepared.communities("degeneracy", tracker)
-    else:
-        res = degeneracy_order(graph, tracker=tracker)
-        s = res.degeneracy
-        dag = orient_by_order(graph, res.order, tracker=tracker)
-        comms = build_communities(dag, tracker=tracker)
+    s = ctx.degeneracy(tracker)
+    dag = ctx.dag("degeneracy", tracker)
+    comms = ctx.communities("degeneracy", tracker)
     for k in range(s + 1, 2, -1):
         if _witness_on_dag(dag, comms, k) is not None:
             return k
@@ -196,24 +175,16 @@ def clique_spectrum(
     motif-statistics use case) without paying preprocessing per size.
     With ``prepared`` they are shared across *calls* too.
     """
-    _check_prepared(graph, prepared)
+    ctx = prepared_for(graph, prepared)
     n = graph.num_vertices
-    if prepared is not None:
-        s = prepared.degeneracy(tracker)
-    else:
-        res = degeneracy_order(graph, tracker=tracker)
-        s = res.degeneracy
+    s = ctx.degeneracy(tracker)
     bound = s + 1 if graph.num_edges else 1
     top = bound if k_max is None else min(k_max, bound)
     spectrum: Dict[int, int] = {}
     if n == 0:
         return spectrum
-    if prepared is not None:
-        dag = prepared.dag("degeneracy", tracker)
-        comms = prepared.communities("degeneracy", tracker)
-    else:
-        dag = orient_by_order(graph, res.order, tracker=tracker)
-        comms = build_communities(dag, tracker=tracker)
+    dag = ctx.dag("degeneracy", tracker)
+    comms = ctx.communities("degeneracy", tracker)
     for k in range(1, max(top, 1) + 1):
         sub_tracker = Tracker() if tracker.enabled else NULL_TRACKER
         result = count_cliques_on_dag(dag, k, sub_tracker, comms=comms)

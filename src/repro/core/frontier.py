@@ -83,11 +83,12 @@ from ..graphs.digraph import OrientedDAG
 from ..obs.metrics import MetricsRegistry
 from ..pram.executor import parallel_map_reduce, worker_state
 from ..pram.tracker import NULL_TRACKER, Tracker
-from .prepared import PreparedGraph
+from .prepared import PreparedGraph, prepared_for
 
 __all__ = [
     "FrontierTables",
     "build_frontier_tables",
+    "scatter_triangles",
     "execute",
     "resident_plan",
     "frontier_count_cliques",
@@ -151,19 +152,38 @@ def build_frontier_tables(
     rows_in = np.zeros((m, width), dtype=np.uint64)
     us, _ = dag.edge_endpoints()
     base = dag.out_indptr[us.astype(np.int64)]
-    if triangles.shape[0] and width:
-        u = triangles[:, 0]
-        e_uw = dag.edge_ids(u, triangles[:, 1])
-        e_uv = dag.edge_ids(u, triangles[:, 2])
-        src_base = dag.out_indptr[u]
-        iw = e_uw - src_base  # local rename of w in N+(u)
-        iv = e_uv - src_base  # local rename of v in N+(u)
-        np.bitwise_or.at(rows, (e_uw, iv >> 6), _BITS[iv & 63])
-        np.bitwise_or.at(rows_in, (e_uv, iw >> 6), _BITS[iw & 63])
+    scatter_triangles(dag, triangles, rows, rows_in)
     rows.setflags(write=False)
     rows_in.setflags(write=False)
     base.setflags(write=False)
     return FrontierTables(rows, rows_in, base, width)
+
+
+def scatter_triangles(
+    dag: OrientedDAG,
+    triangles: np.ndarray,
+    rows: np.ndarray,
+    rows_in: np.ndarray,
+    e0: int = 0,
+) -> None:
+    """OR the local edge of every triangle into table rows ``[e0, ...)``.
+
+    Triangle ``(u, w, v)`` sets bit ``v`` in ``rows[(u, w) - e0]`` and
+    bit ``w`` in ``rows_in[(u, v) - e0]``, both renamed within N⁺(u);
+    the edge ids come from one :meth:`OrientedDAG.edge_ids` lookup each.
+    ``rows``/``rows_in`` may be a block of the full tables (a shard's
+    memmap), in which case every triangle's source must lie in it.
+    """
+    if not triangles.shape[0]:
+        return
+    u = triangles[:, 0]
+    e_uw = dag.edge_ids(u, triangles[:, 1])
+    e_uv = dag.edge_ids(u, triangles[:, 2])
+    src_base = dag.out_indptr[u]
+    iw = e_uw - src_base  # local rename of w in N+(u)
+    iv = e_uv - src_base  # local rename of v in N+(u)
+    np.bitwise_or.at(rows, (e_uw - e0, iv >> 6), _BITS[iv & 63])
+    np.bitwise_or.at(rows_in, (e_uv - e0, iw >> 6), _BITS[iw & 63])
 
 
 def _drive(
@@ -456,9 +476,7 @@ def execute(
             return graph.num_edges, None
         us, vs = graph.edge_array()
         return graph.num_edges, _canonical(np.stack([us, vs], axis=1))
-    ctx = prepared if prepared is not None else PreparedGraph(graph)
-    if ctx.graph is not graph:
-        raise ValueError("prepared context was built for a different graph")
+    ctx = prepared_for(graph, prepared)
     dag = ctx.dag("degeneracy", tracker)
     if k == 3 and listing:
         tri = ctx.triangles("degeneracy", tracker)

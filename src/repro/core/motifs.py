@@ -22,14 +22,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..graphs.digraph import OrientedDAG, orient_by_order
-from ..orders.degeneracy import degeneracy_order
+from ..graphs.digraph import OrientedDAG
 from ..pram.cost import Cost
 from ..pram.primitives import log2p1
 from ..pram.schedule import TaskLog
 from ..pram.tracker import Tracker
-from ..triangles.communities import EdgeCommunities, build_communities
+from ..triangles.communities import EdgeCommunities
 from .clique_listing import CliqueSearchResult
+from .prepared import prepared_for
 from .recursive import SearchStats
 
 __all__ = ["count_cliques_triangle_growing"]
@@ -135,11 +135,9 @@ def count_cliques_triangle_growing(
     if k < 1:
         raise ValueError(f"clique size must be >= 1, got {k}")
 
-    with tracker.phase("orientation"):
-        order = degeneracy_order(graph, tracker=tracker).order
-        dag = orient_by_order(graph, order, tracker=tracker)
-    with tracker.phase("communities"):
-        comms = build_communities(dag, tracker=tracker)
+    ctx = prepared_for(graph)
+    dag = ctx.dag("degeneracy", tracker)
+    comms = ctx.communities("degeneracy", tracker)
 
     stats = SearchStats()
     task_log = TaskLog()

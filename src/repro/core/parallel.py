@@ -29,12 +29,11 @@ from typing import Optional
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..graphs.digraph import OrientedDAG, orient_by_order
-from ..orders.degeneracy import degeneracy_order
+from ..graphs.digraph import OrientedDAG
 from ..pram.executor import parallel_map_reduce, worker_state
 from ..pram.tracker import NULL_TRACKER, Tracker
-from ..triangles.communities import EdgeCommunities, build_communities
-from .prepared import PreparedGraph
+from ..triangles.communities import EdgeCommunities
+from .prepared import PreparedGraph, prepared_for
 from .recursive import SearchStats, recursive_count
 
 __all__ = ["count_cliques_parallel"]
@@ -80,16 +79,10 @@ def count_cliques_parallel(
     if k == 2:
         return graph.num_edges
 
-    if prepared is not None:
-        if prepared.graph is not graph:
-            raise ValueError("prepared context was built for a different graph")
-        prep_tracker = tracker if tracker is not None else NULL_TRACKER
-        dag = prepared.dag("degeneracy", prep_tracker)
-        comms = prepared.communities("degeneracy", prep_tracker)
-    else:
-        order = degeneracy_order(graph).order
-        dag = orient_by_order(graph, order)
-        comms = build_communities(dag)
+    ctx = prepared_for(graph, prepared)
+    prep_tracker = tracker if tracker is not None else NULL_TRACKER
+    dag = ctx.dag("degeneracy", prep_tracker)
+    comms = ctx.communities("degeneracy", prep_tracker)
     if k == 3:
         return comms.num_triangles
 

@@ -18,10 +18,17 @@ any engine. Pieces are keyed by order family —
 * edge orders (Algorithm 3): ``"exact"`` greedy and ``"approx"``
   (Algorithm 4).
 
+It is also the only place in :mod:`repro.core` that builds a whole
+graph's preprocessing: every engine entry point resolves its context
+through :func:`prepared_for`, and a call without one runs on a fresh
+private context. Every piece goes through one memo method
+(``PreparedGraph._memo``) that owns the lock, the hit/miss accounting
+and the phase.
+
 Cost semantics: a *miss* builds the piece with the caller's tracker
-under the same phase names the cold path uses (``orientation``,
-``communities``, ``edge-order``), so the first query on a context is
-charged exactly like an unprepared run; a *hit* charges nothing. Hits
+under its phase (``orientation``, ``communities``, ``edge-order``,
+``bitrows``, ``kernelize``), so the first query on a context is charged
+exactly like a cold call; a *hit* charges nothing. Hits
 and misses are counted on the instance (``hits``/``misses``) and, when
 the caller's tracker carries a metrics registry (:mod:`repro.obs`),
 recorded as the ``prepared.piece.hit`` / ``prepared.piece.miss``
@@ -34,14 +41,15 @@ and identity-hashed), so repeated API queries against the same graph
 amortize preprocessing with no caller cooperation. Engine-level entry
 points (``run_variant``, ``frontier_count_cliques``, …) stay *cold* unless
 a context is passed explicitly — benchmarks compare cold and warm runs
-on purpose.
+on purpose. The cache tells snapshots apart by graph identity: every
+mutation makes a new graph object.
 
 Thread safety: both classes are multi-tenant shared state once the
 query service (:mod:`repro.service`) runs engines on a worker pool, so
 both are locked. :class:`PreparedCache` guards its LRU dict, the
 weakref ``_on_collect`` eviction callback (which can fire on *any*
 thread mid-``get`` otherwise) and its counters with one ``RLock``;
-:class:`PreparedGraph` guards its piece stores with a per-instance
+:class:`PreparedGraph` guards its piece dict with a per-instance
 ``RLock`` and builds pieces *inside* the lock (double-checked), so two
 threads missing on the same piece converge on one frozen object and
 exactly one cold build — the second thread blocks, then takes a hit.
@@ -56,7 +64,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, ContextManager, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -76,6 +84,7 @@ __all__ = [
     "PreparedGraph",
     "PreparedCache",
     "prepare",
+    "prepared_for",
     "adopt_prepared",
     "invalidate_prepared",
     "clear_prepared_cache",
@@ -88,10 +97,10 @@ __all__ = [
 ORDER_VARIANTS = ("degeneracy", "approx")
 EDGE_ORDER_KINDS = ("exact", "approx")
 
-# Piece kind -> the instance store holding it; the vocabulary the
-# patch-in-place engine (repro.dynamic.patch) and the invalidation API
-# share. "kernel" entries are keyed per clique size k, the rest per
-# order variant / edge-order kind.
+# The piece vocabulary the patch-in-place engine (repro.dynamic.patch)
+# works in. "kernel" entries are keyed per clique size k,
+# "sharded_tables" per (variant, budget, window), the rest per order
+# variant / edge-order kind.
 PIECE_KINDS = (
     "order",
     "dag",
@@ -102,16 +111,11 @@ PIECE_KINDS = (
     "sharded_tables",
     "kernel",
 )
-_PIECE_STORES = {
-    "order": "_orders",
-    "dag": "_dags",
-    "triangles": "_triangles",
-    "communities": "_communities",
-    "edge_order": "_edge_orders",
-    "frontier_tables": "_frontier_tables",
-    "sharded_tables": "_sharded_tables",
-    "kernel": "_kernels",
-}
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in PIECE_KINDS:
+        raise ValueError(f"unknown piece kind {kind!r}; choose from {PIECE_KINDS}")
 
 
 def _approx_nbytes(obj: Any, seen: set) -> int:
@@ -162,47 +166,22 @@ class PreparedGraph:
     """
 
     __slots__ = (
-        "_graph",
-        "_graph_ref",
-        "eps",
-        "version",
-        "hits",
-        "misses",
-        "_lock",
-        "_orders",
-        "_dags",
-        "_triangles",
-        "_communities",
-        "_edge_orders",
-        "_frontier_tables",
-        "_sharded_tables",
-        "_kernels",
+        "_graph", "_graph_ref", "eps", "hits", "misses", "_lock", "_pieces"
     )
 
     def __init__(
-        self,
-        graph: CSRGraph,
-        eps: float = 0.5,
-        pin: bool = True,
-        version: int = 0,
+        self, graph: CSRGraph, eps: float = 0.5, pin: bool = True
     ) -> None:
         if eps <= 0:
             raise ValueError(f"eps must be positive, got {eps}")
         self._graph: Optional[CSRGraph] = graph if pin else None
         self._graph_ref = weakref.ref(graph)
         self.eps = float(eps)
-        self.version = int(version)
         self.hits = 0
         self.misses = 0
         self._lock = threading.RLock()
-        self._orders: Dict[str, Any] = {}
-        self._dags: Dict[str, OrientedDAG] = {}
-        self._triangles: Dict[str, np.ndarray] = {}
-        self._communities: Dict[str, EdgeCommunities] = {}
-        self._edge_orders: Dict[str, EdgeOrderResult] = {}
-        self._frontier_tables: Dict[str, Any] = {}
-        self._sharded_tables: Dict[Tuple[str, Optional[int], int], Any] = {}
-        self._kernels: Dict[int, Any] = {}
+        # (kind, key) -> piece; kind is one of PIECE_KINDS.
+        self._pieces: Dict[Tuple[str, Any], Any] = {}
 
     @property
     def graph(self) -> Optional[CSRGraph]:
@@ -239,12 +218,9 @@ class PreparedGraph:
         and clobbering it would fork two "the" triangle lists for one
         context. Callers must use the returned (winning) value.
         """
-        if kind not in _PIECE_STORES:
-            raise ValueError(
-                f"unknown piece kind {kind!r}; choose from {PIECE_KINDS}"
-            )
+        _check_kind(kind)
         with self._lock:
-            return getattr(self, _PIECE_STORES[kind]).setdefault(key, value)
+            return self._pieces.setdefault((kind, key), value)
 
     def peek(self, kind: str, key: Any) -> Any:
         """A memoized piece if already built, else ``None`` (never builds).
@@ -252,44 +228,57 @@ class PreparedGraph:
         Lets the patch engine decide what to carry across a mutation
         without forcing cold builds of pieces no query ever asked for.
         """
-        if kind not in _PIECE_STORES:
-            raise ValueError(
-                f"unknown piece kind {kind!r}; choose from {PIECE_KINDS}"
-            )
+        _check_kind(kind)
         with self._lock:
-            return getattr(self, _PIECE_STORES[kind]).get(key)
+            return self._pieces.get((kind, key))
 
     def piece_keys(self, kind: str) -> Tuple[Any, ...]:
-        """Sorted keys of the memoized pieces of one kind."""
-        if kind not in _PIECE_STORES:
-            raise ValueError(
-                f"unknown piece kind {kind!r}; choose from {PIECE_KINDS}"
-            )
-        with self._lock:
-            return tuple(sorted(getattr(self, _PIECE_STORES[kind])))
+        """Keys of the memoized pieces of one kind, in ``repr`` order.
 
-    def invalidate_pieces(self, kinds: Optional[Tuple[str, ...]] = None) -> int:
-        """Drop memoized pieces (all of them, or only the given kinds).
-
-        Returns the number of entries dropped — the ``patched-vs-rebuilt``
-        accounting of the dynamic layer reports this as
-        ``dynamic.invalidated_pieces``. Dropped pieces rebuild lazily on
-        next use, exactly like a cold miss.
+        ``repr`` orders any mix of keys: a sharded plan's budget may be
+        ``None`` (unlimited) beside an int, which plain sorting rejects.
         """
-        chosen = PIECE_KINDS if kinds is None else kinds
-        dropped = 0
+        _check_kind(kind)
         with self._lock:
-            for kind in chosen:
-                if kind not in _PIECE_STORES:
-                    raise ValueError(
-                        f"unknown piece kind {kind!r}; choose from {PIECE_KINDS}"
-                    )
-                store = getattr(self, _PIECE_STORES[kind])
-                dropped += len(store)
-                store.clear()
-        return dropped
+            return tuple(
+                sorted(
+                    (key for held, key in self._pieces if held == kind),
+                    key=repr,
+                )
+            )
 
-    # -- bookkeeping -------------------------------------------------------
+    # -- memoization -------------------------------------------------------
+
+    def _memo(
+        self,
+        kind: str,
+        key: Any,
+        tracker: Tracker,
+        phase: ContextManager[None],
+        build: Callable[..., Any],
+        needs: Callable[[], Tuple[Any, ...]] = tuple,
+    ) -> Any:
+        """The piece ``(kind, key)``, built under ``phase`` on a miss.
+
+        A hit counts one ``prepared.piece.hit`` and charges nothing
+        (``phase``, an unentered ``tracker.phase(...)``, is dropped). On
+        a miss ``needs()`` resolves the piece's own dependencies first
+        (each counting its own hit or miss, each charged under its own
+        phase), then ``build(*needs())`` runs inside ``phase`` and the
+        result is memoized. Everything happens under the context lock,
+        so racing misses converge on one build.
+        """
+        with self._lock:
+            got = self._pieces.get((kind, key))
+            if got is not None:
+                self._note(tracker, hit=True)
+                return got
+            deps = needs()
+            self._note(tracker, hit=False)
+            with phase:
+                got = build(*deps)
+            self._pieces[(kind, key)] = got
+            return got
 
     def _note(self, tracker: Tracker, hit: bool) -> None:
         if hit:
@@ -316,73 +305,66 @@ class PreparedGraph:
     ) -> Any:
         """The order result (:class:`DegeneracyResult` / approx twin)."""
         self._check_variant(variant)
-        with self._lock:
-            got = self._orders.get(variant)
-            if got is not None:
-                self._note(tracker, hit=True)
-                return got
-            self._note(tracker, hit=False)
-            with tracker.phase("orientation"):
-                if variant == "degeneracy":
-                    got = degeneracy_order(self.graph, tracker=tracker)
-                else:
-                    got = approx_degeneracy_order(
-                        self.graph, eps=self.eps, tracker=tracker
-                    )
-            self._orders[variant] = got
-        return got
+
+        def build() -> Any:
+            if variant == "degeneracy":
+                return degeneracy_order(self.graph, tracker=tracker)
+            return approx_degeneracy_order(
+                self.graph, eps=self.eps, tracker=tracker
+            )
+
+        return self._memo(
+            "order", variant, tracker, tracker.phase("orientation"), build
+        )
 
     def dag(
         self, variant: str = "degeneracy", tracker: Tracker = NULL_TRACKER
     ) -> OrientedDAG:
         """The graph oriented by the chosen order (vertices relabeled)."""
         self._check_variant(variant)
-        with self._lock:
-            got = self._dags.get(variant)
-            if got is not None:
-                self._note(tracker, hit=True)
-                return got
-            order = self.order_result(variant, tracker).order
-            self._note(tracker, hit=False)
-            with tracker.phase("orientation"):
-                got = orient_by_order(self.graph, order, tracker=tracker)
-            self._dags[variant] = got
-        return got
+        return self._memo(
+            "dag",
+            variant,
+            tracker,
+            tracker.phase("orientation"),
+            lambda order: orient_by_order(self.graph, order, tracker=tracker),
+            lambda: (self.order_result(variant, tracker).order,),
+        )
 
     def triangles(
         self, variant: str = "degeneracy", tracker: Tracker = NULL_TRACKER
     ) -> np.ndarray:
         """The (u, w, v) triangle list of the oriented DAG."""
         self._check_variant(variant)
-        with self._lock:
-            got = self._triangles.get(variant)
-            if got is not None:
-                self._note(tracker, hit=True)
-                return got
-            dag = self.dag(variant, tracker)
-            self._note(tracker, hit=False)
-            with tracker.phase("communities"):
-                got = list_triangles(dag, tracker=tracker)
-            self._triangles[variant] = got
-        return got
+        return self._memo(
+            "triangles",
+            variant,
+            tracker,
+            tracker.phase("communities"),
+            lambda dag: list_triangles(dag, tracker=tracker),
+            lambda: (self.dag(variant, tracker),),
+        )
+
+    def _dag_and_triangles(
+        self, variant: str, tracker: Tracker
+    ) -> Tuple[OrientedDAG, np.ndarray]:
+        return self.dag(variant, tracker), self.triangles(variant, tracker)
 
     def communities(
         self, variant: str = "degeneracy", tracker: Tracker = NULL_TRACKER
     ) -> EdgeCommunities:
         """The sorted per-edge candidate sets (Algorithm 1, line 1)."""
         self._check_variant(variant)
-        with self._lock:
-            got = self._communities.get(variant)
-            if got is not None:
-                self._note(tracker, hit=True)
-                return got
-            dag = self.dag(variant, tracker)
-            tri = self.triangles(variant, tracker)
-            self._note(tracker, hit=False)
-            with tracker.phase("communities"):
-                got = build_communities(dag, tracker=tracker, triangles=tri)
-            self._communities[variant] = got
-        return got
+        return self._memo(
+            "communities",
+            variant,
+            tracker,
+            tracker.phase("communities"),
+            lambda dag, tri: build_communities(
+                dag, tracker=tracker, triangles=tri
+            ),
+            lambda: self._dag_and_triangles(variant, tracker),
+        )
 
     def frontier_tables(
         self, variant: str = "degeneracy", tracker: Tracker = NULL_TRACKER
@@ -395,26 +377,27 @@ class PreparedGraph:
         pays the O(T) packing once per (graph, order).
         """
         self._check_variant(variant)
-        with self._lock:
-            got = self._frontier_tables.get(variant)
-            if got is not None:
-                self._note(tracker, hit=True)
-                return got
+
+        def build(dag: OrientedDAG, tri: np.ndarray) -> Any:
             from .frontier import build_frontier_tables
 
-            dag = self.dag(variant, tracker)
-            tri = self.triangles(variant, tracker)
-            self._note(tracker, hit=False)
-            with tracker.phase("bitrows"):
-                got = build_frontier_tables(dag, tri)
-                tracker.charge(
-                    Cost(
-                        float(tri.shape[0] + dag.num_edges),
-                        log2p1(max(tri.shape[0], dag.num_edges)) + 1,
-                    )
+            got = build_frontier_tables(dag, tri)
+            tracker.charge(
+                Cost(
+                    float(tri.shape[0] + dag.num_edges),
+                    log2p1(max(tri.shape[0], dag.num_edges)) + 1,
                 )
-            self._frontier_tables[variant] = got
-        return got
+            )
+            return got
+
+        return self._memo(
+            "frontier_tables",
+            variant,
+            tracker,
+            tracker.phase("bitrows"),
+            build,
+            lambda: self._dag_and_triangles(variant, tracker),
+        )
 
     def sharded_tables(
         self,
@@ -431,7 +414,7 @@ class PreparedGraph:
         phase); individual blocks materialize on demand inside the
         returned :class:`~repro.core.sharded.ShardedTables` and are
         individually evictable, so a warm context never pins more than
-        the windowed blocks resident.
+        the windowed blocks resident. A closed plan is rebuilt.
         """
         self._check_variant(variant)
         key = (
@@ -439,49 +422,44 @@ class PreparedGraph:
             None if memory_budget_bytes is None else int(memory_budget_bytes),
             int(window),
         )
-        with self._lock:
-            got = self._sharded_tables.get(key)
-            if got is not None and not got.closed:
-                self._note(tracker, hit=True)
-                return got
-            from .sharded import ShardedTables, plan_shards
 
-            dag = self.dag(variant, tracker)
-            tri = self.triangles(variant, tracker)
-            self._note(tracker, hit=False)
-            with tracker.phase("bitrows"):
-                plan = plan_shards(
-                    dag.out_indptr,
-                    (dag.max_out_degree + 63) // 64,
-                    memory_budget_bytes,
-                    window,
+        def build(dag: OrientedDAG, tri: np.ndarray) -> Any:
+            from .sharded import open_sharded_tables
+
+            got = open_sharded_tables(dag, tri, memory_budget_bytes, window)
+            tracker.charge(
+                Cost(
+                    float(dag.num_vertices + got.plan.num_shards),
+                    log2p1(dag.num_vertices) + 1,
                 )
-                got = ShardedTables(dag, tri, plan)
-                tracker.charge(
-                    Cost(
-                        float(dag.num_vertices + plan.num_shards),
-                        log2p1(dag.num_vertices) + 1,
-                    )
-                )
-            self._sharded_tables[key] = got
-        return got
+            )
+            return got
+
+        with self._lock:
+            got = self._pieces.get(("sharded_tables", key))
+            if got is not None and got.closed:
+                del self._pieces[("sharded_tables", key)]
+            return self._memo(
+                "sharded_tables",
+                key,
+                tracker,
+                tracker.phase("bitrows"),
+                build,
+                lambda: self._dag_and_triangles(variant, tracker),
+            )
 
     def approx_bytes(self) -> int:
         """Approximate resident bytes of the memoized pieces.
 
-        Counts numpy payloads across every piece store, deduplicating
-        shared arrays (the triangles feed the communities *and* the
-        tables — they count once). The graph itself is not counted: the
-        cache holds it weakly, so its lifetime — and its bytes — belong
-        to the caller. Spilled shard blocks count as zero (disk, not
-        RAM); see :func:`_approx_nbytes`.
+        Counts numpy payloads across every piece, deduplicating shared
+        arrays (the triangles feed the communities *and* the tables —
+        they count once). The graph itself is not counted: the cache
+        holds it weakly, so its lifetime — and its bytes — belong to the
+        caller. Spilled shard blocks count as zero (disk, not RAM); see
+        :func:`_approx_nbytes`.
         """
         with self._lock:
-            seen: set = set()
-            return sum(
-                _approx_nbytes(getattr(self, store), seen)
-                for store in _PIECE_STORES.values()
-            )
+            return _approx_nbytes(self._pieces, set())
 
     def kernel(
         self, k: int, tracker: Tracker = NULL_TRACKER
@@ -496,19 +474,16 @@ class PreparedGraph:
         """
         if k < 1:
             raise ValueError(f"clique size must be >= 1, got {k}")
-        with self._lock:
-            got = self._kernels.get(k)
-            if got is not None:
-                self._note(tracker, hit=True)
-                return got
+
+        def build() -> Tuple[Any, PreparedGraph]:
             from ..graphs.kernels import triangle_kernel
 
-            self._note(tracker, hit=False)
-            with tracker.phase("kernelize"):
-                kern = triangle_kernel(self.graph, k, tracker=tracker)
-            got = (kern, PreparedGraph(kern.graph, eps=self.eps))
-            self._kernels[k] = got
-        return got
+            kern = triangle_kernel(self.graph, k, tracker=tracker)
+            return kern, PreparedGraph(kern.graph, eps=self.eps)
+
+        return self._memo(
+            "kernel", k, tracker, tracker.phase("kernelize"), build
+        )
 
     # -- edge-order pipeline (Algorithm 3/4) -------------------------------
 
@@ -520,23 +495,17 @@ class PreparedGraph:
             raise ValueError(
                 f"unknown edge-order kind {kind!r}; choose from {EDGE_ORDER_KINDS}"
             )
-        with self._lock:
-            got = self._edge_orders.get(kind)
-            if got is not None:
-                self._note(tracker, hit=True)
-                return got
-            self._note(tracker, hit=False)
-            with tracker.phase("edge-order"):
-                if kind == "exact":
-                    got = community_degeneracy_order(
-                        self.graph, tracker=tracker
-                    )
-                else:
-                    got = approx_community_order(
-                        self.graph, eps=self.eps, tracker=tracker
-                    )
-            self._edge_orders[kind] = got
-        return got
+
+        def build() -> EdgeOrderResult:
+            if kind == "exact":
+                return community_degeneracy_order(self.graph, tracker=tracker)
+            return approx_community_order(
+                self.graph, eps=self.eps, tracker=tracker
+            )
+
+        return self._memo(
+            "edge_order", kind, tracker, tracker.phase("edge-order"), build
+        )
 
     # -- derived scalars (engine-dispatch inputs) --------------------------
 
@@ -562,12 +531,14 @@ class PreparedGraph:
 class PreparedCache:
     """Bounded LRU of :class:`PreparedGraph` contexts, keyed per graph.
 
-    Graphs are immutable and hash by identity, so ``(id(graph), eps,
-    version)`` keys the cache. Entries hold their graph only through a
-    **weak reference**: dropping the last outside reference to a graph
-    collects it and auto-invalidates its entries (the seed code pinned
-    graphs alive forever, and the ``id()``-keyed lookup *depended* on
-    that immortality — a reused id could otherwise serve another graph's
+    Graphs are immutable and hash by identity, so ``(id(graph), eps)``
+    keys the cache; every mutation makes a new graph object, so two
+    snapshots of one mutable graph are told apart by identity alone.
+    Entries hold their graph only through a **weak reference**: dropping
+    the last outside reference to a graph collects it and
+    auto-invalidates its entries (the seed code pinned graphs alive
+    forever, and the ``id()``-keyed lookup *depended* on that
+    immortality — a reused id could otherwise serve another graph's
     preprocessing). A weakref callback removes dead entries eagerly, and
     ``get`` double-checks identity (``entry.graph is graph``) so even a
     not-yet-fired callback can never produce a wrong hit. Eviction is
@@ -577,7 +548,7 @@ class PreparedCache:
 
     All public methods and the ``_on_collect`` eviction callback hold
     one ``RLock``: the cache is the shared multi-tenant warm store of
-    the query service, where ``get`` iterates the LRU dict on one worker
+    the query service, where ``get`` reads the LRU dict on one worker
     thread while a GC-triggered callback mutates it on another, and two
     racing misses used to double-build a context and double-count the
     ``prepared.graph.*`` metrics. The lock is reentrant because ``get``
@@ -597,14 +568,14 @@ class PreparedCache:
         self.misses = 0
         self.invalidations = 0
         self._lock = threading.RLock()
-        self._entries: "OrderedDict[Tuple[int, float, int], PreparedGraph]" = (
+        self._entries: "OrderedDict[Tuple[int, float], PreparedGraph]" = (
             OrderedDict()
         )
-        self._refs: Dict[Tuple[int, float, int], "weakref.ref[CSRGraph]"] = {}
+        self._refs: Dict[Tuple[int, float], "weakref.ref[CSRGraph]"] = {}
 
     # -- lifetime plumbing -------------------------------------------------
 
-    def _watch(self, graph: CSRGraph, key: Tuple[int, float, int]) -> None:
+    def _watch(self, graph: CSRGraph, key: Tuple[int, float]) -> None:
         """Register the auto-invalidation callback for ``key``."""
         selfref = weakref.ref(self)
 
@@ -616,7 +587,7 @@ class PreparedCache:
         self._refs[key] = weakref.ref(graph, _on_collect)
 
     def _drop_dead(
-        self, key: Tuple[int, float, int], ref: "weakref.ref[CSRGraph]"
+        self, key: Tuple[int, float], ref: "weakref.ref[CSRGraph]"
     ) -> None:
         # Only drop if the slot still belongs to the collected graph: the
         # id may have been reused and the key re-bound to a live entry.
@@ -627,7 +598,7 @@ class PreparedCache:
                 if self._entries.pop(key, None) is not None:
                     self.invalidations += 1
 
-    def _remove(self, key: Tuple[int, float, int]) -> None:
+    def _remove(self, key: Tuple[int, float]) -> None:
         self._entries.pop(key, None)
         self._refs.pop(key, None)
 
@@ -636,26 +607,11 @@ class PreparedCache:
         graph: CSRGraph,
         eps: float = 0.5,
         tracker: Tracker = NULL_TRACKER,
-        version: Optional[int] = None,
     ) -> PreparedGraph:
-        """The shared context for ``(graph, eps)``, building it on a miss.
-
-        ``version=None`` (the façade default) matches *any* live version
-        of the graph, preferring the newest — so a patched context the
-        dynamic layer adopted under a bumped version token keeps serving
-        warm hits. Pass an explicit version to pin one snapshot.
-        """
+        """The shared context for ``(graph, eps)``, building it on a miss."""
         metrics = tracker.metrics
+        key = (id(graph), float(eps))
         with self._lock:
-            gid = id(graph)
-            feps = float(eps)
-            if version is None:
-                matches = sorted(
-                    k for k in self._entries if k[0] == gid and k[1] == feps
-                )
-                key = matches[-1] if matches else (gid, feps, 0)
-            else:
-                key = (gid, feps, int(version))
             entry = self._entries.get(key)
             if entry is not None and entry.graph is graph:
                 self.hits += 1
@@ -675,49 +631,26 @@ class PreparedCache:
             if metrics is not None:
                 metrics.counter("prepared.graph.miss").inc()
                 metrics.gauge("prepared.graph.bytes").set(self.total_bytes())
-            build_version = 0 if version is None else int(version)
-            entry = PreparedGraph(
-                graph, eps=eps, pin=False, version=build_version
-            )
-            self.put(graph, entry, eps=eps, version=build_version)
-            return entry
+            return self.put(graph, PreparedGraph(graph, eps=eps, pin=False), eps)
 
     def lookup(
-        self,
-        graph: CSRGraph,
-        eps: float = 0.5,
-        version: Optional[int] = None,
+        self, graph: CSRGraph, eps: float = 0.5
     ) -> Optional[PreparedGraph]:
         """The cached context for ``(graph, eps)`` or ``None`` — never builds.
 
         Does not touch the hit/miss counters or the LRU order: the query
-        service uses it to classify a query as warm or cold *before*
-        resolving the context (``service.warm_hit``), and a peek that
-        aged the LRU or skewed the counters would distort both.
+        service uses it to price a query as warm or cold before
+        admission, and a peek that aged the LRU or skewed the counters
+        would distort both.
         """
         with self._lock:
-            gid = id(graph)
-            feps = float(eps)
-            if version is None:
-                matches = sorted(
-                    k for k in self._entries if k[0] == gid and k[1] == feps
-                )
-                if not matches:
-                    return None
-                key = matches[-1]
-            else:
-                key = (gid, feps, int(version))
-            entry = self._entries.get(key)
+            entry = self._entries.get((id(graph), float(eps)))
             if entry is not None and entry.graph is graph:
                 return entry
             return None
 
     def put(
-        self,
-        graph: CSRGraph,
-        entry: PreparedGraph,
-        eps: float = 0.5,
-        version: int = 0,
+        self, graph: CSRGraph, entry: PreparedGraph, eps: float = 0.5
     ) -> PreparedGraph:
         """Adopt an externally built context (e.g. a patched one) for ``graph``.
 
@@ -726,11 +659,10 @@ class PreparedCache:
         queries stay warm. The entry is unpinned: adopting it never
         extends the graph's lifetime.
         """
-        if entry.graph is not graph:
-            raise ValueError("prepared context was built for a different graph")
+        prepared_for(graph, entry)  # rejects another graph's context
         entry.unpin()
         with self._lock:
-            key = (id(graph), float(eps), int(version))
+            key = (id(graph), float(eps))
             self._entries[key] = entry
             self._entries.move_to_end(key)
             self._watch(graph, key)
@@ -757,14 +689,13 @@ class PreparedCache:
         """Approximate resident bytes across every cached context."""
         with self._lock:
             seen: set = set()
-            total = 0
-            for entry in self._entries.values():
-                for store in _PIECE_STORES.values():
-                    total += _approx_nbytes(getattr(entry, store), seen)
-            return total
+            return sum(
+                _approx_nbytes(entry._pieces, seen)
+                for entry in self._entries.values()
+            )
 
     def invalidate(self, graph: CSRGraph) -> int:
-        """Drop every entry of ``graph`` (all eps/version keys); return count.
+        """Drop every entry of ``graph`` (all eps keys); return count.
 
         Explicit invalidation for callers that know a graph is obsolete
         (a mutated :class:`~repro.dynamic.DynamicGraph` snapshot) and do
@@ -826,16 +757,33 @@ def prepare(
     )
 
 
+def prepared_for(
+    graph: CSRGraph,
+    prepared: Optional[PreparedGraph] = None,
+    eps: float = 0.5,
+) -> PreparedGraph:
+    """The context a core entry point runs on: ``prepared``, or a private one.
+
+    A cold call (``prepared=None``) builds on a fresh pinned context, so
+    it runs — and is charged for — exactly the pipeline the first query
+    on a shared context runs. A passed context must be ``graph``'s own.
+    """
+    if prepared is None:
+        return PreparedGraph(graph, eps=eps)
+    if prepared.graph is not graph:
+        raise ValueError("prepared context was built for a different graph")
+    return prepared
+
+
 def adopt_prepared(
     graph: CSRGraph,
     entry: PreparedGraph,
     eps: float = 0.5,
     cache: Optional[PreparedCache] = None,
-    version: int = 0,
 ) -> PreparedGraph:
     """Install an externally built context into the (default) cache."""
     return (_DEFAULT_CACHE if cache is None else cache).put(
-        graph, entry, eps=eps, version=version
+        graph, entry, eps=eps
     )
 
 

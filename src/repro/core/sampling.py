@@ -23,10 +23,8 @@ from typing import Optional
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..graphs.digraph import orient_by_order
-from ..orders.degeneracy import degeneracy_order
 from ..pram.tracker import NULL_TRACKER, Tracker
-from ..triangles.communities import build_communities
+from .prepared import prepared_for
 from .recursive import SearchStats, recursive_count
 
 __all__ = ["CliqueEstimate", "estimate_clique_count"]
@@ -68,9 +66,9 @@ def estimate_clique_count(
         raise ValueError("sampling estimator requires k >= 4 (use exact counts)")
     if samples < 1:
         raise ValueError("need at least one sample")
-    order = degeneracy_order(graph, tracker=tracker).order
-    dag = orient_by_order(graph, order, tracker=tracker)
-    comms = build_communities(dag, tracker=tracker)
+    ctx = prepared_for(graph)
+    dag = ctx.dag("degeneracy", tracker)
+    comms = ctx.communities("degeneracy", tracker)
     m = dag.num_edges
     if m == 0:
         return CliqueEstimate(0.0, 0.0, samples, k, 1.0)

@@ -64,7 +64,7 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..pram.tracker import NULL_TRACKER, Tracker
-from .frontier import _BITS, FrontierTables, execute
+from .frontier import FrontierTables, execute, scatter_triangles
 from .prepared import PreparedGraph
 
 __all__ = [
@@ -75,6 +75,7 @@ __all__ = [
     "plan_shards",
     "SpillDir",
     "ShardedTables",
+    "open_sharded_tables",
     "spilled_plan",
     "sharded_count_cliques",
     "sharded_list_cliques",
@@ -401,7 +402,6 @@ class ShardedTables:
         width = self.plan.width
         m_shard = shard.num_edges
         e0, e1 = shard.e0, shard.e1
-        n = dag.num_vertices
         us, _ = dag.edge_endpoints()
         us_slice = us[e0:e1].astype(np.int64)
         base = dag.out_indptr[us_slice] - e0
@@ -420,20 +420,7 @@ class ShardedTables:
         tri = self._triangles
         lo = int(np.searchsorted(tri[:, 0], shard.v_lo, side="left"))
         hi = int(np.searchsorted(tri[:, 0], shard.v_hi, side="left"))
-        if hi > lo:
-            keys_shard = (
-                us_slice * n + dag.out_indices[e0:e1].astype(np.int64)
-            )
-            u = tri[lo:hi, 0].astype(np.int64)
-            w = tri[lo:hi, 1].astype(np.int64)
-            v = tri[lo:hi, 2].astype(np.int64)
-            e_uw = np.searchsorted(keys_shard, u * n + w)
-            e_uv = np.searchsorted(keys_shard, u * n + v)
-            src_base = dag.out_indptr[u] - e0
-            iw = e_uw - src_base
-            iv = e_uv - src_base
-            np.bitwise_or.at(mm[0], (e_uw, iv >> 6), _BITS[iv & 63])
-            np.bitwise_or.at(mm[1], (e_uv, iw >> 6), _BITS[iw & 63])
+        scatter_triangles(dag, tri[lo:hi], mm[0], mm[1], e0)
         mm.flush()
         mm.setflags(write=False)
         tables = FrontierTables(mm[0], mm[1], base, width)
@@ -480,6 +467,23 @@ class ShardedTables:
             return block.tables
 
 
+def open_sharded_tables(
+    dag: Any,
+    triangles: np.ndarray,
+    memory_budget_bytes: Optional[int],
+    window: int = 2,
+    spill_root: Optional[str] = None,
+) -> ShardedTables:
+    """Plan ``dag``'s shards for the budget and open their (lazy) blocks."""
+    plan = plan_shards(
+        dag.out_indptr,
+        (dag.max_out_degree + 63) // 64,
+        memory_budget_bytes,
+        window,
+    )
+    return ShardedTables(dag, triangles, plan, spill_root=spill_root)
+
+
 def spilled_plan(
     memory_budget_bytes: Optional[int],
     window: int = 2,
@@ -507,13 +511,15 @@ def spilled_plan(
                     window=window,
                 )
             )
-        dag = ctx.dag("degeneracy", tracker)
-        tri = ctx.triangles("degeneracy", tracker)
-        plan = plan_shards(
-            dag.out_indptr, (dag.max_out_degree + 63) // 64,
-            memory_budget_bytes, window,
+        return closing(
+            open_sharded_tables(
+                ctx.dag("degeneracy", tracker),
+                ctx.triangles("degeneracy", tracker),
+                memory_budget_bytes,
+                window,
+                spill_root,
+            )
         )
-        return closing(ShardedTables(dag, tri, plan, spill_root=spill_root))
 
     return open_plan
 

@@ -25,9 +25,6 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..graphs.digraph import orient_by_order
-from ..orders.approx_community import approx_community_order
-from ..orders.approx_degeneracy import approx_degeneracy_order
-from ..orders.community_order import community_degeneracy_order
 from ..orders.degeneracy import degeneracy_order
 from ..pram.cost import Cost
 from ..pram.primitives import log2p1
@@ -35,7 +32,7 @@ from ..pram.schedule import TaskLog
 from ..pram.tracker import Tracker
 from .clique_listing import CliqueSearchResult, count_cliques_on_dag
 from .community_variant import count_cliques_community_order
-from .prepared import PreparedGraph
+from .prepared import PreparedGraph, prepared_for
 from .recursive import SearchStats
 
 __all__ = ["VARIANTS", "run_variant"]
@@ -76,28 +73,13 @@ def run_variant(
     ``prepared`` shares the query-independent preprocessing (order,
     orientation, communities, edge orders) across calls: the first query
     on a context is charged exactly like a cold run, later ones charge
-    only the search. Without it the call is cold (builds everything).
+    only the search. Without it the call builds everything on a private
+    context.
     """
     result = _dispatch(graph, k, variant, tracker, eps, collect, prune, prepared)
     if collect and result.cliques is not None:
         result.cliques.sort()
     return result
-
-
-def _exact_dag(
-    graph: CSRGraph, tracker: Tracker, prepared: Optional[PreparedGraph]
-):
-    """Exact-degeneracy (dag, comms) — comms is None on the cold path
-    (count_cliques_on_dag builds them so they are charged per engine)."""
-    if prepared is not None:
-        return (
-            prepared.dag("degeneracy", tracker),
-            prepared.communities("degeneracy", tracker),
-        )
-    with tracker.phase("orientation"):
-        order = degeneracy_order(graph, tracker=tracker).order
-        dag = orient_by_order(graph, order, tracker=tracker)
-    return dag, None
 
 
 def _dispatch(
@@ -114,71 +96,41 @@ def _dispatch(
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     if k < 1:
         raise ValueError(f"clique size must be >= 1, got {k}")
-    if prepared is not None:
-        if prepared.graph is not graph:
-            raise ValueError("prepared context was built for a different graph")
-        if variant in _EPS_VARIANTS and prepared.eps != eps:
-            raise ValueError(
-                f"prepared context has eps={prepared.eps}, query asked for "
-                f"eps={eps}; prepare a context per eps"
-            )
-
-    if variant == "best-work":
-        dag, comms = _exact_dag(graph, tracker, prepared)
-        return count_cliques_on_dag(
-            dag, k, tracker, comms=comms, collect=collect, prune=prune
-        )
-
-    if variant == "best-depth":
-        if prepared is not None:
-            dag = prepared.dag("approx", tracker)
-            comms = prepared.communities("approx", tracker)
-        else:
-            with tracker.phase("orientation"):
-                order = approx_degeneracy_order(
-                    graph, eps=eps, tracker=tracker
-                ).order
-                dag = orient_by_order(graph, order, tracker=tracker)
-            comms = None
-        return count_cliques_on_dag(
-            dag, k, tracker, comms=comms, collect=collect, prune=prune
+    ctx = prepared_for(graph, prepared, eps)
+    if variant in _EPS_VARIANTS and ctx.eps != eps:
+        raise ValueError(
+            f"prepared context has eps={ctx.eps}, query asked for "
+            f"eps={eps}; prepare a context per eps"
         )
 
     if variant == "hybrid":
         return _run_hybrid(
-            graph, k, tracker, eps=eps, collect=collect, prune=prune,
-            prepared=prepared,
+            graph, k, tracker, collect=collect, prune=prune, ctx=ctx
         )
-
     # Community-degeneracy variants need k >= 4; fall back to the plain
     # algorithm for trivial sizes (the edge order plays no role there).
-    if k < 4:
-        dag, comms = _exact_dag(graph, tracker, prepared)
-        return count_cliques_on_dag(dag, k, tracker, comms=comms, collect=collect)
-
-    if variant == "cd-best-work":
-        if prepared is not None:
-            edge_order = prepared.edge_order("exact", tracker)
-        else:
-            with tracker.phase("edge-order"):
-                edge_order = community_degeneracy_order(graph, tracker=tracker)
-        return count_cliques_community_order(
-            graph, k, edge_order, tracker, collect=collect
+    if variant in ("best-work", "best-depth") or k < 4:
+        order = "approx" if variant == "best-depth" else "degeneracy"
+        return count_cliques_on_dag(
+            ctx.dag(order, tracker),
+            k,
+            tracker,
+            comms=ctx.communities(order, tracker),
+            collect=collect,
+            prune=prune,
         )
-
-    if prepared is not None:
-        edge_order = prepared.edge_order("approx", tracker)
-    else:
-        with tracker.phase("edge-order"):
-            edge_order = approx_community_order(graph, eps=eps, tracker=tracker)
-    if variant == "cd-best-depth":
-        return count_cliques_community_order(
-            graph, k, edge_order, tracker, collect=collect
-        )
+    edge_order = ctx.edge_order(
+        "exact" if variant == "cd-best-work" else "approx", tracker
+    )
     # cd-hybrid (§4.3): approximate edge order outside, exact degeneracy
     # orientation inside each candidate subgraph.
     return count_cliques_community_order(
-        graph, k, edge_order, tracker, collect=collect, inner_order="degeneracy"
+        graph,
+        k,
+        edge_order,
+        tracker,
+        collect=collect,
+        inner_order="degeneracy" if variant == "cd-hybrid" else "id",
     )
 
 
@@ -230,19 +182,13 @@ def _run_hybrid(
     graph: CSRGraph,
     k: int,
     tracker: Tracker,
-    eps: float,
     collect: bool,
-    prune: bool = True,
-    prepared: Optional[PreparedGraph] = None,
+    prune: bool,
+    ctx: PreparedGraph,
 ) -> CliqueSearchResult:
     """§4.2: (2.5)-approximate order outside, exact order per N⁺(v)."""
     n = graph.num_vertices
-    if prepared is not None:
-        dag = prepared.dag("approx", tracker)
-    else:
-        with tracker.phase("orientation"):
-            order = approx_degeneracy_order(graph, eps=eps, tracker=tracker).order
-            dag = orient_by_order(graph, order, tracker=tracker)
+    dag = ctx.dag("approx", tracker)
 
     stats = SearchStats()
     task_log = TaskLog()

@@ -11,10 +11,10 @@ no re-sort) while the expensive derived state crosses over incrementally:
   delta (:mod:`repro.dynamic.delta`) — work proportional to the touched
   communities, not the graph;
 * the warm :class:`PreparedGraph` context is patched in place
-  (:mod:`repro.dynamic.patch`) and adopted into the façade cache under a
-  bumped version token, so post-mutation ``repro.count_cliques`` calls
-  on :attr:`graph` stay warm; the superseded snapshot's cache entries
-  are explicitly invalidated.
+  (:mod:`repro.dynamic.patch`) and adopted into the façade cache for the
+  new snapshot, so post-mutation ``repro.count_cliques`` calls on
+  :attr:`graph` stay warm; the superseded snapshot's cache entries are
+  explicitly invalidated.
 
 Mutations are **strict**: inserting a present edge, deleting an absent
 one, self-loops, out-of-range endpoints, and in-batch duplicates all
@@ -288,15 +288,9 @@ class DynamicGraph:
             self._prepared, new_graph, op, normalized, tracker=self._tracker
         )
 
-        # Swap the snapshot: adopt the patched context under its bumped
-        # version token and drop the superseded snapshot's cache entries.
-        adopt_prepared(
-            new_graph,
-            patched,
-            eps=self._eps,
-            cache=self._cache,
-            version=patched.version,
-        )
+        # Swap the snapshot: adopt the patched context for the new graph
+        # and drop the superseded snapshot's cache entries.
+        adopt_prepared(new_graph, patched, eps=self._eps, cache=self._cache)
         invalidate_prepared(old_graph, cache=self._cache)
         self._graph = new_graph
         self._prepared = patched

@@ -168,8 +168,9 @@ def patch_prepared(
     ``new_graph`` must be ``old.graph`` with the normalized ``batch``
     applied under ``op`` (``insert``/``delete``); vertex count unchanged
     — mutations are edge-only. Only pieces the old context actually
-    materialized are considered; the new context's version token is
-    bumped so caches can hold both snapshots apart.
+    materialized are considered. The new context belongs to
+    ``new_graph``, a distinct object, so caches hold the two snapshots
+    apart by graph identity.
 
     Work: O(n + m + (T + A) log(T + A) + Σ_e |C(e)|) for A affected
     triangles — the full O(m·s̃) triangle enumeration is never redone.
@@ -182,7 +183,7 @@ def patch_prepared(
     if new_graph.num_vertices != old_graph.num_vertices:
         raise ValueError("patching requires an unchanged vertex set")
 
-    fresh = PreparedGraph(new_graph, eps=old.eps, version=old.version + 1)
+    fresh = PreparedGraph(new_graph, eps=old.eps)
     report = PatchReport()
     n = new_graph.num_vertices
 

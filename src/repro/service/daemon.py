@@ -51,7 +51,7 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from ..core.api import ENGINES, VARIANTS, count_cliques, list_cliques
 from ..core.existence import clique_spectrum, find_clique
-from ..core.prepared import PreparedCache
+from ..core.prepared import PreparedCache, PreparedGraph
 from ..dynamic import MutationError
 from ..graphs.csr import CSRGraph
 from ..obs import MetricsRegistry
@@ -91,6 +91,15 @@ def _query_tracker(registry: Optional[MetricsRegistry]) -> Tracker:
     return tracker
 
 
+def _is_built(ctx: Optional[PreparedGraph]) -> bool:
+    """Whether ``ctx`` holds real pieces, not just an empty shell.
+
+    The cache builds empty contexts eagerly; warm means some query or
+    the dynamic patcher already left an order behind.
+    """
+    return ctx is not None and bool(ctx.piece_keys("order"))
+
+
 def _run_count(
     graph: CSRGraph,
     k: int,
@@ -105,6 +114,7 @@ def _run_count(
 ) -> Dict[str, Any]:
     tracker = _query_tracker(registry)
     ctx = cache.get(graph, eps=eps, tracker=tracker)
+    warm = _is_built(ctx)
     t0 = time.perf_counter()
     result = count_cliques(
         graph,
@@ -122,6 +132,7 @@ def _run_count(
         "count": int(result.count),
         "engine": str(result.engine),
         "engine_reason": result.engine_reason,
+        "warm": warm,
         "work": tracker.work,
         "depth": tracker.depth,
         "wall_ms": (time.perf_counter() - t0) * 1000.0,
@@ -141,6 +152,7 @@ def _run_list(
 ) -> Dict[str, Any]:
     tracker = _query_tracker(registry)
     ctx = cache.get(graph, eps=eps, tracker=tracker)
+    warm = _is_built(ctx)
     t0 = time.perf_counter()
     listed = list_cliques(
         graph,
@@ -156,6 +168,7 @@ def _run_list(
     return {
         "count": len(listed),
         "cliques": [list(c) for c in listed],
+        "warm": warm,
         "work": tracker.work,
         "depth": tracker.depth,
         "wall_ms": (time.perf_counter() - t0) * 1000.0,
@@ -171,11 +184,13 @@ def _run_find(
 ) -> Dict[str, Any]:
     tracker = _query_tracker(registry)
     ctx = cache.get(graph, eps=eps, tracker=tracker)
+    warm = _is_built(ctx)
     t0 = time.perf_counter()
     witness = find_clique(graph, k, tracker=tracker, prepared=ctx)
     return {
         "found": witness is not None,
         "witness": None if witness is None else list(witness),
+        "warm": warm,
         "work": tracker.work,
         "depth": tracker.depth,
         "wall_ms": (time.perf_counter() - t0) * 1000.0,
@@ -191,10 +206,12 @@ def _run_spectrum(
 ) -> Dict[str, Any]:
     tracker = _query_tracker(registry)
     ctx = cache.get(graph, eps=eps, tracker=tracker)
+    warm = _is_built(ctx)
     t0 = time.perf_counter()
     spectrum = clique_spectrum(graph, k_max=k_max, tracker=tracker, prepared=ctx)
     return {
         "spectrum": {str(k): int(c) for k, c in sorted(spectrum.items())},
+        "warm": warm,
         "work": tracker.work,
         "depth": tracker.depth,
         "wall_ms": (time.perf_counter() - t0) * 1000.0,
@@ -281,14 +298,13 @@ class CliqueService:
         return await loop.run_in_executor(self._executor(), fn)
 
     def _is_warm(self, graph: CSRGraph) -> bool:
-        """Whether a query on ``graph`` will find built preprocessing.
+        """Whether a query on ``graph`` would find built preprocessing now.
 
-        A context whose order store is empty is an empty shell (the
-        cache builds those eagerly); warm means some query or the
-        dynamic patcher already left real pieces behind.
+        Admission prices with this; the reply's ``warm`` flag comes from
+        the context the run actually got, which a mutation in between
+        may have replaced.
         """
-        ctx = self.cache.lookup(graph, eps=self.eps)
-        return ctx is not None and bool(ctx.piece_keys("order"))
+        return _is_built(self.cache.lookup(graph, eps=self.eps))
 
     # -- request entry point ----------------------------------------------
 
@@ -355,19 +371,16 @@ class CliqueService:
 
     async def _lead(
         self,
-        graph: CSRGraph,
         estimate: QueryEstimate,
         label: str,
         runner: Callable[[], Dict[str, Any]],
     ) -> Dict[str, Any]:
-        """The flight leader: admit, record warmth, run off-loop."""
+        """The flight leader: admit, run off-loop, record warmth."""
         async with self.admission.admit(estimate, label):
-            warm = self._is_warm(graph)
-            if warm:
-                self.metrics.counter("service.warm_hit").inc()
             self.metrics.counter("service.engine_runs").inc()
             result = await self._offload(runner)
-        result["warm"] = warm
+        if result["warm"]:
+            self.metrics.counter("service.warm_hit").inc()
         result["predicted_work"] = estimate.work
         return result
 
@@ -461,7 +474,7 @@ class CliqueService:
         )
         label = f"count k={k} graph={entry.name!r}"
         result = await self._coalesced(
-            key, lambda: self._lead(graph, estimate, label, runner)
+            key, lambda: self._lead(estimate, label, runner)
         )
         result.update({"graph": entry.name, "version": stats.version, "k": k})
         return result
@@ -493,7 +506,7 @@ class CliqueService:
         )
         label = f"list k={k} graph={entry.name!r}"
         result = await self._coalesced(
-            key, lambda: self._lead(graph, estimate, label, runner)
+            key, lambda: self._lead(estimate, label, runner)
         )
         if limit is not None and len(result["cliques"]) > limit:
             result["cliques"] = result["cliques"][:limit]
@@ -515,7 +528,7 @@ class CliqueService:
         )
         label = f"find k={k} graph={entry.name!r}"
         result = await self._coalesced(
-            key, lambda: self._lead(graph, estimate, label, runner)
+            key, lambda: self._lead(estimate, label, runner)
         )
         result.update({"graph": entry.name, "version": stats.version, "k": k})
         return result
@@ -535,7 +548,7 @@ class CliqueService:
         )
         label = f"spectrum graph={entry.name!r}"
         result = await self._coalesced(
-            key, lambda: self._lead(graph, estimate, label, runner)
+            key, lambda: self._lead(estimate, label, runner)
         )
         result.update({"graph": entry.name, "version": stats.version})
         return result
@@ -555,8 +568,8 @@ class CliqueService:
             ) from None
         # DynamicGraph is single-writer: serialize mutations per name.
         # Queries are not blocked — in-flight ones hold the old snapshot
-        # (their coalescing key pins the old version), later ones see
-        # the bumped version and start fresh flights.
+        # (their coalescing key pins the old graph), later ones see the
+        # new graph and start fresh flights.
         lock = self._mutation_locks.setdefault(name, asyncio.Lock())
         async with lock:
             self.registry.get(name)  # fail fast before queueing work

@@ -11,10 +11,10 @@ shared :class:`~repro.core.prepared.PreparedCache`.
 
 Mutations route through the entry's ``DynamicGraph`` (never through
 graph re-registration): the dynamic layer patches the warm prepared
-context in place and adopts it into the shared cache under a bumped
-version token, so a mutation costs a community-localized delta instead
-of a cold rebuild, and the registry's ``version`` gives queries a
-consistent snapshot token to coalesce under.
+context in place and adopts it into the shared cache for the new
+snapshot, so a mutation costs a community-localized delta instead of a
+cold rebuild, and the registry's ``version`` gives each reply a
+consistent snapshot number.
 
 The registry itself is locked (it is read on the event loop and written
 from worker threads); *mutating one entry* is serialized by the daemon
@@ -223,9 +223,7 @@ class GraphRegistry:
             self._entries[name] = entry
         # Seed the shared cache so query-side cache.get() finds the
         # entry's context instead of building a second one.
-        adopt_prepared(
-            graph, dyn.prepared, eps=self._eps, cache=self._cache, version=0
-        )
+        adopt_prepared(graph, dyn.prepared, eps=self._eps, cache=self._cache)
         return entry.stats
 
     def unregister(self, name: str) -> bool:

@@ -410,8 +410,9 @@ class TestCacheLifetime:
         cache = PreparedCache()
         g = gnm_random_graph(12, 30, seed=10)
         ctx = PreparedGraph(g)
-        adopt_prepared(g, ctx, cache=cache, version=3)
-        # version=None lookup (the façade default) finds the newest live
-        # version instead of cold-missing on version 0.
+        adopt_prepared(g, ctx, cache=cache)
+        # The adopted context owns the graph's slot: the façade's next
+        # lookup is a warm hit on it, never a cold miss.
+        assert cache.lookup(g) is ctx
         assert cache.get(g) is ctx
         assert cache.info()["hits"] == 1 and cache.info()["misses"] == 0

@@ -201,6 +201,30 @@ def test_unlimited_budget_is_the_identity_plan():
         sharded.close()
 
 
+@pytest.mark.parametrize("budget", [1, 512, 4096])
+def test_every_block_is_the_rebased_slice_of_the_full_tables(budget):
+    """A shard block is rows [e0, e1) of the in-RAM tables, base - e0."""
+    g = gnm_random_graph(80, 500, seed=5)
+    ctx = PreparedGraph(g)
+    dag = ctx.dag("degeneracy")
+    tri = ctx.triangles("degeneracy")
+    full = build_frontier_tables(dag, tri)
+    plan = plan_shards(dag.out_indptr, full.width, budget)
+    assert plan.num_shards > 1
+    sharded = ShardedTables(dag, tri, plan)
+    try:
+        for shard in plan.shards:
+            block = sharded.block(shard.index)
+            e0, e1 = shard.e0, shard.e1
+            assert np.array_equal(np.asarray(block.rows), full.rows[e0:e1])
+            assert np.array_equal(
+                np.asarray(block.rows_in), full.rows_in[e0:e1]
+            )
+            assert np.array_equal(np.asarray(block.base), full.base[e0:e1] - e0)
+    finally:
+        sharded.close()
+
+
 def test_process_fanout_matches_sequential():
     g = gnm_random_graph(80, 500, seed=13)
     for k in (4, 5):

@@ -406,6 +406,32 @@ class TestMutationRaces:
         assert second["count"] == count_cliques(new, 6).count
         assert second["version"] == 0 and not second["coalesced"]
 
+    def test_warm_flag_names_the_context_the_run_got(self):
+        # A cache entry dropped between admission and the run (what a
+        # mutation does to the superseded snapshot) forces a cold build;
+        # the reply and service.warm_hit must say so.
+        async def flow():
+            svc, cl = await _service()
+            await cl.register("g", edges=EDGES)
+            first = await cl.count("g", k=4)
+            graph = svc.registry.get("g").graph
+            offload = svc._offload
+
+            async def invalidate_then_run(fn):
+                svc.cache.invalidate(graph)
+                return await offload(fn)
+
+            svc._offload = invalidate_then_run
+            second = await cl.count("g", k=3)
+            stats = await cl.stats()
+            await svc.aclose()
+            return first, second, stats["service"]
+
+        first, second, counters = run(flow())
+        assert first["warm"] is True
+        assert second["warm"] is False
+        assert counters["service.warm_hit"] == 1.0
+
     def test_mutations_are_serialized_per_graph(self):
         async def flow():
             svc, cl = await _service()
