@@ -168,7 +168,11 @@ def clique_spectrum(
     tracker: Tracker = NULL_TRACKER,
     prepared: Optional[PreparedGraph] = None,
 ) -> Dict[int, int]:
-    """Counts of k-cliques for every k from 1 to ``k_max`` (default ω bound).
+    """Counts of k-cliques for every k from 1 to ``k_max`` (default ω).
+
+    Without ``k_max`` the keys are exactly the sizes 1..ω, whatever
+    order the context carries: the sweep stops at the first size with no
+    clique. With ``k_max`` they are 1..k_max, zeros past ω.
 
     Orientation and communities are built once and shared across all k,
     which is how a user profiles a graph's "clique spectrum" (the intro's
@@ -190,13 +194,10 @@ def clique_spectrum(
         result = count_cliques_on_dag(dag, k, sub_tracker, comms=comms)
         if tracker.enabled:
             tracker.charge(sub_tracker.total)
-        spectrum[k] = result.count
         if result.count == 0 and k >= 2:
-            # No k-clique implies no larger clique; fill zeros and stop.
-            for kk in range(k + 1, max(top, 1) + 1):
-                spectrum[kk] = 0
-            break
+            break  # no k-clique implies no larger clique
+        spectrum[k] = result.count
     if k_max is not None:
-        for kk in range(top + 1, k_max + 1):
+        for kk in range(len(spectrum) + 1, k_max + 1):
             spectrum[kk] = 0
     return spectrum

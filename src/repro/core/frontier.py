@@ -48,6 +48,15 @@ One round at parameter ``c ≥ 3`` (the body of :func:`_drive`):
 
 ``c ∈ {1, 2}`` are closed-form leaf rounds (popcounts).
 
+Complete communities
+--------------------
+A drive rooted at edge ``e`` counts the c-cliques of DAG[C(e)]. When
+that subgraph is complete, the answer is C(|C(e)|, c) without a round,
+so :func:`build_frontier_tables` also seals a per-edge ``complete`` flag
+(:func:`complete_flags`, one vectorized pass over the filled rows).
+Counting answers flagged edges in closed form and drives only the rest;
+listing drives every edge.
+
 The executor
 ------------
 A drive rooted at the eligible edges of source ``u`` reads only the
@@ -58,7 +67,8 @@ table block. The in-RAM plan (:func:`resident_plan`) is one resident
 shard, the memoized tables themselves; the budgeted plan
 (:func:`repro.core.sharded.spilled_plan`) streams memmapped blocks built
 on demand. The executor owns the k ≤ 3 closed forms, drives each shard's
-eligible edges once for counts and canonical listings, and with
+eligible edges once for canonical listings (and its eligible edges with
+an incomplete community for counts), and with
 ``workers > 1`` fans contiguous chunks of eligible edges, weighted by
 community size, out over processes.
 
@@ -66,11 +76,14 @@ The search itself is untracked — a tracker passed to the entry points
 only accounts the shared preprocessing — but the frontier shape is
 observable: ``frontier.rounds``, ``frontier.width``,
 ``frontier.peak_width``, ``frontier.pairs`` and ``frontier.children``
-land in the tracker's metrics registry when one is attached.
+(driven edges only) and ``frontier.closed_edges`` (edges answered in
+closed form) land in the tracker's metrics registry when one is
+attached.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import nullcontext
 from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
@@ -89,6 +102,7 @@ __all__ = [
     "FrontierTables",
     "build_frontier_tables",
     "scatter_triangles",
+    "complete_flags",
     "execute",
     "resident_plan",
     "frontier_count_cliques",
@@ -108,27 +122,31 @@ class FrontierTables:
     out-neighborhood of its source; ``base[e]`` is the source's row
     offset, so member bit ``p`` of any mask derived from edge ``e``
     denotes DAG vertex ``out_indices[base[e] + p]`` and its own rows sit
-    at index ``base[e] + p``. ``width`` is the shared word count
+    at index ``base[e] + p``. ``complete[e]`` says that the community
+    ``rows_in[e]`` induces a complete graph in the DAG (see
+    :func:`complete_flags`). ``width`` is the shared word count
     ``ceil(s̃/64)``.
 
-    Immutable: the three arrays are sealed read-only by
+    Immutable: the four arrays are sealed read-only by
     :func:`build_frontier_tables`, so forked workers can share the
     tables copy-on-write and a stray in-place write raises instead of
     silently corrupting every sibling worker.
     """
 
-    __slots__ = ("rows", "rows_in", "base", "width")
+    __slots__ = ("rows", "rows_in", "base", "complete", "width")
 
     def __init__(
         self,
         rows: np.ndarray,
         rows_in: np.ndarray,
         base: np.ndarray,
+        complete: np.ndarray,
         width: int,
     ) -> None:
         self.rows = rows
         self.rows_in = rows_in
         self.base = base
+        self.complete = complete
         self.width = width
 
 
@@ -140,10 +158,11 @@ def build_frontier_tables(
     Each triangle ``(u, w, v)`` contributes exactly one local edge
     ``w → v`` inside the universe of ``u``; both endpoints' local renames
     fall out of the edge ids ``(u, w)`` / ``(u, v)`` by subtracting the
-    source's row offset (:meth:`OrientedDAG.edge_ids`). Vectorized, no
-    per-source Python loop; with T triangles and m directed edges:
+    source's row offset (:meth:`OrientedDAG.present_edge_ids`). The
+    per-edge completeness flags follow from the filled rows. Vectorized,
+    no per-source Python loop; with T triangles and m directed edges:
 
-    Work: O(m + T log m)
+    Work: O(m·W + T log m + T·W)
     Depth: O(log m)
     """
     m = dag.num_edges
@@ -152,11 +171,13 @@ def build_frontier_tables(
     rows_in = np.zeros((m, width), dtype=np.uint64)
     us, _ = dag.edge_endpoints()
     base = dag.out_indptr[us.astype(np.int64)]
-    scatter_triangles(dag, triangles, rows, rows_in)
+    e_uw, e_uv = scatter_triangles(dag, triangles, rows, rows_in)
+    complete = complete_flags(rows, rows_in, e_uw, e_uv)
     rows.setflags(write=False)
     rows_in.setflags(write=False)
     base.setflags(write=False)
-    return FrontierTables(rows, rows_in, base, width)
+    complete.setflags(write=False)
+    return FrontierTables(rows, rows_in, base, complete, width)
 
 
 def scatter_triangles(
@@ -165,25 +186,55 @@ def scatter_triangles(
     rows: np.ndarray,
     rows_in: np.ndarray,
     e0: int = 0,
-) -> None:
+) -> Tuple[np.ndarray, np.ndarray]:
     """OR the local edge of every triangle into table rows ``[e0, ...)``.
 
     Triangle ``(u, w, v)`` sets bit ``v`` in ``rows[(u, w) - e0]`` and
     bit ``w`` in ``rows_in[(u, v) - e0]``, both renamed within N⁺(u);
-    the edge ids come from one :meth:`OrientedDAG.edge_ids` lookup each.
-    ``rows``/``rows_in`` may be a block of the full tables (a shard's
-    memmap), in which case every triangle's source must lie in it.
+    the edge ids come from one :meth:`OrientedDAG.present_edge_ids`
+    lookup each. ``rows``/``rows_in`` may be a block of the full tables
+    (a shard's memmap), in which case every triangle's source must lie
+    in it. Returns the block rows ``(u, w) - e0`` and ``(u, v) - e0``
+    of every triangle.
     """
-    if not triangles.shape[0]:
-        return
     u = triangles[:, 0]
-    e_uw = dag.edge_ids(u, triangles[:, 1])
-    e_uv = dag.edge_ids(u, triangles[:, 2])
+    e_uw = dag.present_edge_ids(u, triangles[:, 1])
+    e_uv = dag.present_edge_ids(u, triangles[:, 2])
     src_base = dag.out_indptr[u]
     iw = e_uw - src_base  # local rename of w in N+(u)
     iv = e_uv - src_base  # local rename of v in N+(u)
-    np.bitwise_or.at(rows, (e_uw - e0, iv >> 6), _BITS[iv & 63])
-    np.bitwise_or.at(rows_in, (e_uv - e0, iw >> 6), _BITS[iw & 63])
+    e_uw -= e0
+    e_uv -= e0
+    np.bitwise_or.at(rows, (e_uw, iv >> 6), _BITS[iv & 63])
+    np.bitwise_or.at(rows_in, (e_uv, iw >> 6), _BITS[iw & 63])
+    return e_uw, e_uv
+
+
+def complete_flags(
+    rows: np.ndarray,
+    rows_in: np.ndarray,
+    e_uw: np.ndarray,
+    e_uv: np.ndarray,
+) -> np.ndarray:
+    """Per table row: does the community induce a complete DAG subgraph?
+
+    Member ``w`` of the community ``C(e) = rows_in[e]`` has
+    ``popcount(rows[(u, w)] & rows_in[e])`` out-neighbors inside it, so
+    summing over the triangles ``(u, w, v)`` of ``e = (u, v)`` (the
+    rows :func:`scatter_triangles` returns) counts the edges of
+    DAG[C(e)]; it is complete when that equals ``p(p−1)/2`` with
+    ``p = |C(e)|``. With T triangles, m rows and W words per row:
+
+    Work: O(m·W + T·W)
+    Depth: O(log T)
+    """
+    inside = rows[e_uw]
+    inside &= rows_in[e_uv]
+    inner = np.bincount(
+        e_uv, weights=popcount_rows(inside), minlength=rows.shape[0]
+    ).astype(np.int64)
+    p = popcount_rows(rows_in)
+    return 2 * inner == p * (p - 1)
 
 
 def _drive(
@@ -341,6 +392,19 @@ def _canonical(rows: np.ndarray) -> List[Tuple[int, ...]]:
     return list(map(tuple, rows[order].tolist()))
 
 
+def _closed_count(sizes: np.ndarray, c: int) -> int:
+    """Σ C(p, c) over community sizes ``p``, exact in Python ints.
+
+    A drive rooted at an edge counts the c-cliques of DAG[mask]; a
+    complete mask of p members has exactly C(p, c) of them.
+    """
+    values, repeats = np.unique(sizes, return_counts=True)
+    return sum(
+        times * math.comb(p, c)
+        for p, times in zip(values.tolist(), repeats.tolist())
+    )
+
+
 def _drive_shard(
     state: Tuple[Any, ...],
     index: int,
@@ -352,13 +416,26 @@ def _drive_shard(
 ) -> Tuple[int, Optional[np.ndarray]]:
     """Drive eligible edges ``[lo, hi)``, all in shard ``index``.
 
+    Counting answers the edges whose community is complete in closed
+    form (:func:`_closed_count`) and drives only the rest; listing
+    drives every edge.
+
     Frozen: state
     """
-    source, out_indices, eligible, _, prefixes = state
+    source, out_indices, eligible, sizes, _, prefixes = state
     tables = source.block(index, metrics=metrics)
     e0, e1 = source.edge_bounds[index], source.edge_bounds[index + 1]
     local = eligible[lo:hi] - e0
-    return _drive(
+    closed = 0
+    if prefixes is None:
+        flagged = tables.complete[local]
+        closed = _closed_count(sizes[lo:hi][flagged], c)
+        if metrics is not None:
+            metrics.counter("frontier.closed_edges").inc(
+                int(np.count_nonzero(flagged))
+            )
+        local = local[~flagged]
+    got, rows = _drive(
         tables,
         tables.base[local],
         tables.rows_in[local],
@@ -368,6 +445,7 @@ def _drive_shard(
         out_indices=out_indices[e0:e1],
         metrics=metrics,
     )
+    return closed + got, rows
 
 
 def _run_units(
@@ -387,7 +465,7 @@ def _run_units(
 
     Frozen: state
     """
-    source, _, _, bounds, _ = state
+    source, _, _, _, bounds, _ = state
     total = 0
     pieces: List[np.ndarray] = []
     walls: List[float] = []
@@ -496,7 +574,8 @@ def execute(
         if metrics is not None and source.spilled:
             metrics.gauge("shard.count").set(source.edge_bounds.size - 1)
         bounds = np.searchsorted(eligible, source.edge_bounds)
-        state = (source, dag.out_indices, eligible, bounds, prefixes)
+        sizes = comms.sizes[eligible]
+        state = (source, dag.out_indices, eligible, sizes, bounds, prefixes)
         if workers is not None and workers > 1:
             got = parallel_map_reduce(
                 _plan_worker,
@@ -507,7 +586,7 @@ def execute(
                 state=state,
                 initial=(0, [], []),
                 tracker=tracker,
-                weights=comms.sizes[eligible].astype(np.float64),
+                weights=sizes.astype(np.float64),
             )
             assert got is not None
             total, pieces, exports = got

@@ -23,7 +23,8 @@ the sum of per-shard counts — bit-identical to the in-RAM engine.
 The machinery
 -------------
 * :func:`plan_shards` sizes shards *before* any allocation from the
-  exact per-shard byte cost ``16·m_shard·W`` (two tables × 8-byte words)
+  exact per-shard byte cost ``(16·W + 1)·m_shard`` (two tables × 8-byte
+  words, plus the one-byte completeness flag of every row)
   so that ``window`` concurrently-resident blocks fit the
   ``memory_budget_bytes`` envelope; a single source vertex is the
   indivisible minimum.
@@ -64,7 +65,12 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..pram.tracker import NULL_TRACKER, Tracker
-from .frontier import FrontierTables, execute, scatter_triangles
+from .frontier import (
+    FrontierTables,
+    complete_flags,
+    execute,
+    scatter_triangles,
+)
 from .prepared import PreparedGraph
 
 __all__ = [
@@ -81,9 +87,11 @@ __all__ = [
     "sharded_list_cliques",
 ]
 
-# Two tables (rows, rows_in) of uint64 words per directed-edge row.
+# Two tables (rows, rows_in) of uint64 words per directed-edge row,
+# plus the one-byte completeness flag.
 BYTES_PER_WORD = 8
 TABLES_PER_EDGE = 2
+FLAG_BYTES_PER_EDGE = 1
 
 _SIZE_RE = re.compile(r"^([0-9]*\.?[0-9]+)\s*([A-Z]*)$")
 _SIZE_UNITS = {
@@ -135,17 +143,22 @@ def parse_memory_size(text: Optional[str]) -> Optional[int]:
     return value
 
 
+def _bytes_per_edge(width: int) -> int:
+    return TABLES_PER_EDGE * BYTES_PER_WORD * int(width) + FLAG_BYTES_PER_EDGE
+
+
 def predict_table_bytes(m: int, max_out_degree: int) -> int:
     """Exact bytes of the full in-RAM frontier tables of a DAG.
 
-    ``16·m·W`` with ``W = ceil(max_out_degree / 64)``: two m×W uint64
-    tables. Computable from cheap statistics before any allocation —
-    the admission controller uses the degeneracy ``s`` as the
-    ``max_out_degree`` bound (out-degrees under a degeneracy order never
-    exceed ``s``), the dispatcher uses the oriented DAG's exact value.
+    ``(16·W + 1)·m`` with ``W = ceil(max_out_degree / 64)``: two m×W
+    uint64 tables and the m one-byte completeness flags. Computable from
+    cheap statistics before any allocation — the admission controller
+    uses the degeneracy ``s`` as the ``max_out_degree`` bound
+    (out-degrees under a degeneracy order never exceed ``s``), the
+    dispatcher uses the oriented DAG's exact value.
     """
     width = (int(max_out_degree) + 63) // 64
-    return TABLES_PER_EDGE * BYTES_PER_WORD * int(m) * width
+    return _bytes_per_edge(width) * int(m)
 
 
 @dataclass(frozen=True)
@@ -186,7 +199,7 @@ class ShardPlan:
 
     @property
     def bytes_per_edge(self) -> int:
-        return TABLES_PER_EDGE * BYTES_PER_WORD * self.width
+        return _bytes_per_edge(self.width)
 
     def table_bytes(self, index: int) -> int:
         return self.shards[index].num_edges * self.bytes_per_edge
@@ -222,8 +235,8 @@ def plan_shards(
     n = int(out_indptr.shape[0]) - 1
     m = int(out_indptr[-1]) if n >= 0 else 0
     window = max(1, int(window))
-    bytes_per_edge = TABLES_PER_EDGE * BYTES_PER_WORD * int(width)
-    if memory_budget_bytes is None or bytes_per_edge == 0 or m == 0 or n <= 0:
+    bytes_per_edge = _bytes_per_edge(width)
+    if memory_budget_bytes is None or width == 0 or m == 0 or n <= 0:
         shards = (Shard(0, 0, n, 0, m),) if n > 0 else ()
         return ShardPlan(shards, int(width), n, m, memory_budget_bytes, window)
     per_shard = max(1, int(memory_budget_bytes) // window)
@@ -409,9 +422,11 @@ class ShardedTables:
         if width == 0 or m_shard == 0:
             rows = np.zeros((m_shard, width), dtype=np.uint64)
             rows_in = np.zeros((m_shard, width), dtype=np.uint64)
+            complete = np.ones(m_shard, dtype=bool)
             rows.setflags(write=False)
             rows_in.setflags(write=False)
-            tables = FrontierTables(rows, rows_in, base, width)
+            complete.setflags(write=False)
+            tables = FrontierTables(rows, rows_in, base, complete, width)
             return _Block(tables, None, 0, os.getpid())
         path = self._spill.file(f"shard-{shard.index}-pid{os.getpid()}.bin")
         mm = np.memmap(
@@ -420,11 +435,14 @@ class ShardedTables:
         tri = self._triangles
         lo = int(np.searchsorted(tri[:, 0], shard.v_lo, side="left"))
         hi = int(np.searchsorted(tri[:, 0], shard.v_hi, side="left"))
-        scatter_triangles(dag, tri[lo:hi], mm[0], mm[1], e0)
+        e_uw, e_uv = scatter_triangles(dag, tri[lo:hi], mm[0], mm[1], e0)
+        complete = complete_flags(mm[0], mm[1], e_uw, e_uv)
         mm.flush()
         mm.setflags(write=False)
-        tables = FrontierTables(mm[0], mm[1], base, width)
-        return _Block(tables, path, int(mm.nbytes), os.getpid())
+        complete.setflags(write=False)
+        tables = FrontierTables(mm[0], mm[1], base, complete, width)
+        nbytes = int(mm.nbytes + complete.nbytes)
+        return _Block(tables, path, nbytes, os.getpid())
 
     def block(self, index: int, metrics: Any = None) -> FrontierTables:
         """The frontier tables of shard ``index``, building on a miss.

@@ -16,10 +16,11 @@ Mapping the affected triples through the carried rank and merging by
 packed int64 keys updates the sorted (u, w, v) row array in
 O((T + A) log(T + A)) — independent of the untouched communities. The
 communities and frontier tables then rebuild from the *patched* triangle
-list with whole-array passes: one :meth:`OrientedDAG.edge_ids` lookup
-(a single ``searchsorted`` over packed edge keys) maps every row to its
-edge ids, then a lexsort (communities) or a scatter (frontier bitrows);
-no per-triangle Python loop. The DAG itself re-orients in O(n + m) on
+list with whole-array passes: one :meth:`OrientedDAG.present_edge_ids`
+lookup (a single ``searchsorted`` over the DAG's packed edge keys) maps
+every row to its edge ids, then a lexsort (communities) or a scatter and
+the completeness-flag pass (frontier bitrows); no per-triangle Python
+loop. The DAG itself re-orients in O(n + m) on
 the new snapshot, whose CSR arrays :mod:`repro.dynamic.graph` splices
 from the old ones.
 

@@ -470,7 +470,12 @@ _SERVICE_OPS = ("count", "list", "find", "spectrum")
 
 
 def _query_plan(rng: np.random.Generator, k: int) -> List[Dict[str, Any]]:
-    """One coroutine's requests: every op once, in a random order, plus extras."""
+    """One coroutine's requests: every op once, in a random order, plus extras.
+
+    The plan ends with a ``spectrum`` without ``k_max``, whose sizes
+    depend on the graph alone (1..ω), never on the order a patched
+    context carries.
+    """
     ops = list(rng.permutation(_SERVICE_OPS))
     ops += list(rng.choice(_SERVICE_OPS, SERVICE_QUERIES_PER_TASK - len(ops)))
     plan = []
@@ -478,6 +483,7 @@ def _query_plan(rng: np.random.Generator, k: int) -> List[Dict[str, Any]]:
         j = int(rng.integers(max(1, k - 1), k + 1))
         size = {"k_max": j} if op == "spectrum" else {"k": j}
         plan.append({"op": str(op), "graph": "g", **size})
+    plan.append({"op": "spectrum", "graph": "g"})
     return plan
 
 
@@ -651,7 +657,18 @@ def oracle_service_versions(
                     )
             else:
                 spectrum = {int(j): c for j, c in result["spectrum"].items()}
-                for j in range(1, request["k_max"] + 1):
+                top = request.get("k_max")
+                if top is None:
+                    # Without k_max the sizes are exactly 1..ω.
+                    top = 0
+                    while reference_count(version, top + 1) > 0:
+                        top += 1
+                    if sorted(spectrum) != list(range(1, top + 1)):
+                        violations.append(
+                            f"{where} listed sizes {sorted(spectrum)}, "
+                            f"the clique number is {top}"
+                        )
+                for j in range(1, top + 1):
                     want = reference_count(version, j)
                     if spectrum.get(j, 0) != want:
                         violations.append(

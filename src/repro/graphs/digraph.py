@@ -10,7 +10,7 @@ relabeled out/in adjacency plus the mapping back to original ids.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +41,7 @@ class OrientedDAG:
         "in_indptr",
         "in_indices",
         "original_ids",
+        "_keys",
     )
 
     def __init__(
@@ -53,6 +54,7 @@ class OrientedDAG:
         self.out_indices = np.ascontiguousarray(out_indices, dtype=np.int32)
         self.original_ids = np.ascontiguousarray(original_ids, dtype=np.int32)
         self.in_indptr, self.in_indices = self._build_in_adjacency()
+        self._keys: Optional[np.ndarray] = None
         self.out_indptr.setflags(write=False)
         self.out_indices.setflags(write=False)
         self.original_ids.setflags(write=False)
@@ -120,12 +122,26 @@ class OrientedDAG:
             return int(self.out_indptr[u] + i)
         return -1
 
+    @property
+    def edge_keys(self) -> np.ndarray:
+        """``source·n + target`` of every edge slot, ascending; built once.
+
+        Out-rows are sorted and sources ascend, so the keys are sorted in
+        edge-id order and one ``searchsorted`` maps a pair to its slot.
+        """
+        keys = self._keys
+        if keys is None:
+            src, dst = self.edge_endpoints()
+            keys = src.astype(np.int64) * self.num_vertices + dst
+            keys.setflags(write=False)
+            self._keys = keys
+        return keys
+
     def edge_ids(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Dense ids of the directed edges ``(us[i], vs[i])``, -1 if absent.
 
-        Out-rows are sorted and sources ascend, so the packed keys
-        ``source·n + target`` of the edge slots are sorted and one
-        ``searchsorted`` resolves every pair. With q pairs:
+        One ``searchsorted`` over the packed edge keys resolves every
+        pair. With q pairs:
 
         Work: O(m + q log m)
         Depth: O(log m)
@@ -133,8 +149,7 @@ class OrientedDAG:
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         n = self.num_vertices
-        src, dst = self.edge_endpoints()
-        keys = src.astype(np.int64) * n + dst
+        keys = self.edge_keys
         want = us * n + vs
         if not keys.size:
             return np.full(want.shape, -1, dtype=np.int64)
@@ -142,6 +157,19 @@ class OrientedDAG:
         slot = np.searchsorted(keys, want)
         np.minimum(slot, keys.size - 1, out=slot)
         return np.where(valid & (keys[slot] == want), slot, -1)
+
+    def present_edge_ids(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Dense ids of directed edges the caller knows exist.
+
+        :meth:`edge_ids` without its range and presence checks: for pairs
+        taken from this DAG's own triangle rows, which cannot be missing.
+        An absent pair gets an arbitrary slot, not -1.
+
+        Work: O(q log m)
+        Depth: O(log m)
+        """
+        want = np.asarray(us, dtype=np.int64) * self.num_vertices + vs
+        return np.searchsorted(self.edge_keys, want)
 
     def edge_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
         """Arrays ``(us, vs)`` such that edge id ``j`` is ``(us[j], vs[j])``."""

@@ -29,7 +29,7 @@ the policy.
   it so a burst degrades crisply instead of accumulating unbounded
   waiters;
 * **resident memory** (``max_resident_bytes``): predicted peak frontier-
-  table bytes, priced from ``16·m·ceil(s/64)`` and capped at the budget
+  table bytes, priced from ``(16·ceil(s/64) + 1)·m`` and capped at the budget
   for the ops the out-of-core sharded engine can stream
   (:mod:`repro.core.sharded`). A query whose residency cannot be
   streamed under the budget is rejected with ``over-memory``; admitted
@@ -68,7 +68,7 @@ class QueryEstimate:
     """Predicted cost of one query, with the formula that produced it.
 
     ``table_bytes`` is the full in-RAM frontier-table footprint the
-    query would materialize (``16·m·ceil(s/64)`` — out-degrees under a
+    query would materialize (``(16·ceil(s/64) + 1)·m`` — out-degrees under a
     degeneracy order are bounded by ``s``, so the prediction needs only
     registry statistics); ``resident_bytes`` is what will actually stay
     mapped at peak, i.e. ``table_bytes`` capped at the serving memory

@@ -91,15 +91,23 @@ def count_triangles(dag: OrientedDAG, tracker: Tracker = NULL_TRACKER) -> int:
 def supporting_edge_ids(dag: OrientedDAG, triangles: np.ndarray) -> np.ndarray:
     """Dense id of each triangle's supporting edge ``(u, v)``.
 
-    Raises :class:`ValueError` when a row's ``(u, v)`` is not an edge of
-    ``dag`` (the rows were not listed on this DAG).
+    Rows listed on this DAG cannot miss, so the lookup is
+    :meth:`OrientedDAG.present_edge_ids`; one gather of the found keys
+    still confirms them, and a row whose ``(u, v)`` is not an edge of
+    ``dag`` raises :class:`ValueError`.
     """
-    eids = dag.edge_ids(triangles[:, 0], triangles[:, 2])
-    bad = np.flatnonzero(eids < 0)
+    u, v = triangles[:, 0], triangles[:, 2]
+    eids = dag.present_edge_ids(u, v)
+    keys = dag.edge_keys
+    want = u.astype(np.int64) * dag.num_vertices + v
+    # On a DAG without edges no key can match: every row is bad.
+    found = keys.take(eids, mode="clip") if keys.size else want + 1
+    bad = np.flatnonzero(found != want)
     if bad.size:
-        u, _, v = (int(x) for x in triangles[bad[0]])
+        row = int(bad[0])
         raise ValueError(
-            f"triangle row {int(bad[0])}: ({u}, {v}) is not an edge of the DAG"
+            f"triangle row {row}: ({int(u[row])}, {int(v[row])}) "
+            "is not an edge of the DAG"
         )
     return eids
 

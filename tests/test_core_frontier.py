@@ -9,6 +9,7 @@ the engine; the perf story lives in BENCH_baseline.json.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -177,15 +178,30 @@ class TestTables:
 
 class TestObservability:
     def test_frontier_metrics_emitted(self):
-        g = complete_graph(12)
+        g = gnm_random_graph(40, 400, seed=4)
         registry = MetricsRegistry()
         tracker = Tracker()
         tracker.attach_metrics(registry)
-        frontier_count_cliques(g, 5, tracker=tracker)
+        frontier_count_cliques(g, 6, tracker=tracker)
         data = registry.to_dict()
         assert data["frontier.rounds"]["value"] >= 1
         assert data["frontier.width"]["count"] >= 1
         assert data["frontier.peak_width"]["max"] >= 1
+        assert data["frontier.pairs"]["value"] >= 1
+
+    def test_complete_graph_is_answered_in_closed_form(self):
+        # Every community of K12 is complete: nothing is driven.
+        g = complete_graph(12)
+        registry = MetricsRegistry()
+        tracker = Tracker()
+        tracker.attach_metrics(registry)
+        assert frontier_count_cliques(g, 5, tracker=tracker) == math.comb(12, 5)
+        sizes = PreparedGraph(g).communities("degeneracy").sizes
+        data = registry.to_dict()
+        assert data["frontier.closed_edges"]["value"] == np.count_nonzero(
+            sizes >= 3
+        )
+        assert data["frontier.rounds"]["value"] == 0
 
     def test_kernel_metrics_emitted(self):
         # A clique plus pendant noise: the kernel strictly shrinks, and
@@ -224,17 +240,24 @@ def _brute_force_relevant_pairs(g, k, prune):
     The reference recursion's rule: in the sorted candidate set I, the
     pair (w, x) with x at least ``gap`` places after w is expanded iff
     w -> x is a DAG edge; its child set is I ∩ N⁺(w) ∩ N⁻(x), kept when it
-    still has c-2 members.
+    still has c-2 members. Counting answers an edge whose community is
+    complete in the DAG in closed form, so only the other edges start a
+    drive.
     """
     ctx = PreparedGraph(g)
     dag = ctx.dag("degeneracy")
     comms = ctx.communities("degeneracy")
     out = [set(dag.out_neighbors(v).tolist()) for v in range(dag.num_vertices)]
-    frontier = [
+
+    def complete(members):
+        return all(x in out[w] for w, x in itertools.combinations(members, 2))
+
+    eligible = (
         sorted(comms.of(e).tolist())
         for e in range(dag.num_edges)
         if comms.sizes[e] >= k - 2
-    ]
+    )
+    frontier = [members for members in eligible if not complete(members)]
     c, pairs = k - 2, 0
     while c >= 3 and frontier:
         gap = (c - 1) if prune else 1

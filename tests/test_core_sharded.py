@@ -92,7 +92,7 @@ def test_predicted_bytes_are_exact(g):
     tables = build_frontier_tables(dag, ctx.triangles("degeneracy"))
     assert (
         predict_table_bytes(dag.num_edges, dag.max_out_degree)
-        == tables.rows.nbytes + tables.rows_in.nbytes
+        == tables.rows.nbytes + tables.rows_in.nbytes + tables.complete.nbytes
     )
 
 
@@ -197,6 +197,7 @@ def test_unlimited_budget_is_the_identity_plan():
         assert np.array_equal(np.asarray(block.rows), full.rows)
         assert np.array_equal(np.asarray(block.rows_in), full.rows_in)
         assert np.array_equal(np.asarray(block.base), full.base)
+        assert np.array_equal(block.complete, full.complete)
     finally:
         sharded.close()
 
@@ -221,6 +222,7 @@ def test_every_block_is_the_rebased_slice_of_the_full_tables(budget):
                 np.asarray(block.rows_in), full.rows_in[e0:e1]
             )
             assert np.array_equal(np.asarray(block.base), full.base[e0:e1] - e0)
+            assert np.array_equal(block.complete, full.complete[e0:e1])
     finally:
         sharded.close()
 

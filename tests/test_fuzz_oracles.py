@@ -145,3 +145,20 @@ class TestServiceVersionsOracle:
         msgs = run_oracle("service-versions", complete_graph(7), 4, seed=3)
         assert msgs
         assert all("reference counts" in m for m in msgs)
+
+    def test_padded_spectrum_is_caught(self, monkeypatch):
+        # A spectrum without k_max must list exactly the sizes 1..ω.
+        import repro.service.daemon as daemon
+
+        honest = daemon._run_spectrum
+
+        def padded(graph, k_max, *args, **kwargs):
+            result = honest(graph, k_max, *args, **kwargs)
+            if k_max is None:
+                result["spectrum"][str(len(result["spectrum"]) + 1)] = 0
+            return result
+
+        monkeypatch.setattr(daemon, "_run_spectrum", padded)
+        msgs = run_oracle("service-versions", complete_graph(7), 4, seed=3)
+        assert msgs
+        assert all("listed sizes" in m for m in msgs)

@@ -120,6 +120,24 @@ class TestEdgeIds:
         assert dag.edge_ids([0, 1], [1, 2]).tolist() == [-1, -1]
         assert dag.edge_ids([], []).size == 0
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_present_lookup_equals_the_checked_one_on_present_pairs(self, seed):
+        g = gnm_random_graph(30, 120, seed=seed)
+        dag = orient_by_order(g, np.random.default_rng(seed).permutation(30))
+        us, vs = dag.edge_endpoints()
+        pick = np.random.default_rng(seed).permutation(dag.num_edges)
+        # int32 inputs, as triangle rows carry them, must not overflow.
+        got = dag.present_edge_ids(us[pick], vs[pick].astype(np.int32))
+        assert got.tolist() == dag.edge_ids(us[pick], vs[pick]).tolist()
+        assert got.tolist() == pick.tolist()
+
+    def test_edge_keys_are_built_once_and_sealed(self):
+        dag = orient_by_order(gnm_random_graph(20, 50, seed=1), np.arange(20))
+        keys = dag.edge_keys
+        assert dag.edge_keys is keys
+        assert not keys.flags.writeable
+        assert np.all(np.diff(keys) > 0)
+
 
 class TestCommunity:
     def test_triangle_community(self):

@@ -481,6 +481,39 @@ class TestMutationRaces:
         assert after["dynamic.rebuilt_pieces"] > 0
 
 
+class TestSpectrumSizes:
+    def test_patched_context_lists_the_same_sizes_as_a_cold_call(self):
+        # Deletions leave the patched context carrying an order whose
+        # max out-degree exceeds the new degeneracy; a spectrum without
+        # k_max must still list exactly the sizes 1..ω.
+        from repro.bench.datasets import load_dataset
+        from repro.dynamic.graph import random_trace
+
+        graph = load_dataset("sbm-community", scale=0.5)
+        trace = random_trace(graph, batches=6, batch_size=40, seed=1,
+                             p_insert=0.0)
+        assert len(trace) == 6
+
+        async def flow():
+            svc = CliqueService(workers=2)
+            svc.registry.register("g", graph=graph)
+            cl = ServiceClient(svc)
+            await cl.spectrum("g")  # warm: later batches patch this context
+            for step in trace:
+                await cl.mutate("g", step["op"], step["batch"])
+            warm = await cl.spectrum("g")
+            final = svc.registry.get("g").graph
+            await svc.aclose()
+            return warm, final
+
+        warm, final = run(flow())
+        assert warm["warm"] is True
+        cold = clique_spectrum(final)
+        got = {int(k): v for k, v in warm["spectrum"].items()}
+        assert got == cold
+        assert all(c > 0 for c in cold.values())
+
+
 class TestTransport:
     def test_tcp_roundtrip_with_blocking_client(self):
         async def flow():
