@@ -50,10 +50,10 @@ def test_work_scales_linearly_in_m(benchmark, algo, collector):
 
 
 def test_sharded_matches_frontier_under_budget(benchmark, collector):
-    """The out-of-core engine must trade disk for RAM, not correctness.
+    """The out-of-core engine must trade rebuilds for RAM, not correctness.
 
     Sweeping scale at a budget far below the full table footprint pins
-    the resident-shard window while the graph (and the spill) grows; the
+    the resident-shard window while the graph (and its built bytes) grow; the
     count stays identical to the in-RAM frontier at every size.
     """
     from repro.core import PreparedGraph, count_cliques, predict_table_bytes

@@ -27,7 +27,7 @@ Three serving concerns live here and nowhere else:
   ``reference`` (the instrumented Table-1 variants) or to the one
   frontier executor of :mod:`repro.core.frontier` over a shard plan:
   ``frontier`` (one resident shard, the in-RAM tables) or ``sharded``
-  (memmapped source-range shards under a memory budget). ``workers``
+  (RAM source-range shards under a memory budget). ``workers``
   only sets how many processes the plan's units run on. The default
   ``auto`` resolves through :func:`resolve_engine` — the *single*
   source of truth for dispatch, which also reports why it picked what
@@ -50,7 +50,7 @@ from .clique_listing import CliqueSearchResult
 from .existence import find_clique
 from .frontier import execute, resident_plan
 from .prepared import PreparedGraph, prepare, prepared_for
-from .sharded import predict_table_bytes, spilled_plan
+from .sharded import budgeted_plan, predict_table_bytes
 from .recursive import SearchStats
 from .variants import VARIANTS, run_variant
 
@@ -162,7 +162,7 @@ def resolve_engine(
 def _plan(engine: str, memory_budget_bytes: Optional[int]):
     """The shard-plan opener an engine label runs the executor on."""
     if engine == "sharded":
-        return spilled_plan(memory_budget_bytes)
+        return budgeted_plan(memory_budget_bytes)
     return resident_plan
 
 

@@ -65,11 +65,11 @@ along any source range. :func:`execute` serves every frontier query over
 a *shard plan*: a list of source-range shards, each a self-contained
 table block. The in-RAM plan (:func:`resident_plan`) is one resident
 shard, the memoized tables themselves; the budgeted plan
-(:func:`repro.core.sharded.spilled_plan`) streams memmapped blocks built
-on demand. The executor owns the k ≤ 3 closed forms, drives each shard's
-eligible edges once for canonical listings (and its eligible edges with
-an incomplete community for counts), and with
-``workers > 1`` fans contiguous chunks of eligible edges, weighted by
+(:func:`repro.core.sharded.budgeted_plan`) streams RAM blocks built on
+demand through a bounded window. The executor owns the k ≤ 3 closed
+forms, drives each shard's eligible edges once for canonical listings
+(and its eligible edges with an incomplete community for counts), and
+with ``workers > 1`` fans contiguous chunks of eligible edges, weighted by
 community size, out over processes.
 
 The search itself is untracked — a tracker passed to the entry points
@@ -103,6 +103,7 @@ __all__ = [
     "build_frontier_tables",
     "scatter_triangles",
     "complete_flags",
+    "source_row_starts",
     "execute",
     "resident_plan",
     "frontier_count_cliques",
@@ -119,33 +120,32 @@ class FrontierTables:
 
     ``rows[e]`` / ``rows_in[e]`` are the out-/in-neighbor bitsets of the
     target of directed edge ``e`` restricted to (and renamed within) the
-    out-neighborhood of its source; ``base[e]`` is the source's row
-    offset, so member bit ``p`` of any mask derived from edge ``e``
-    denotes DAG vertex ``out_indices[base[e] + p]`` and its own rows sit
-    at index ``base[e] + p``. ``complete[e]`` says that the community
+    out-neighborhood of its source: with ``base`` the source's row
+    offset (:func:`source_row_starts`), member bit ``p`` of any mask
+    derived from edge ``e`` denotes DAG vertex
+    ``out_indices[base + p]`` and its own rows sit at index
+    ``base + p``. ``complete[e]`` says that the community
     ``rows_in[e]`` induces a complete graph in the DAG (see
     :func:`complete_flags`). ``width`` is the shared word count
     ``ceil(s̃/64)``.
 
-    Immutable: the four arrays are sealed read-only by
+    Immutable: the three arrays are sealed read-only by
     :func:`build_frontier_tables`, so forked workers can share the
     tables copy-on-write and a stray in-place write raises instead of
     silently corrupting every sibling worker.
     """
 
-    __slots__ = ("rows", "rows_in", "base", "complete", "width")
+    __slots__ = ("rows", "rows_in", "complete", "width")
 
     def __init__(
         self,
         rows: np.ndarray,
         rows_in: np.ndarray,
-        base: np.ndarray,
         complete: np.ndarray,
         width: int,
     ) -> None:
         self.rows = rows
         self.rows_in = rows_in
-        self.base = base
         self.complete = complete
         self.width = width
 
@@ -169,15 +169,22 @@ def build_frontier_tables(
     width = (dag.max_out_degree + 63) // 64
     rows = np.zeros((m, width), dtype=np.uint64)
     rows_in = np.zeros((m, width), dtype=np.uint64)
-    us, _ = dag.edge_endpoints()
-    base = dag.out_indptr[us.astype(np.int64)]
     e_uw, e_uv = scatter_triangles(dag, triangles, rows, rows_in)
     complete = complete_flags(rows, rows_in, e_uw, e_uv)
     rows.setflags(write=False)
     rows_in.setflags(write=False)
-    base.setflags(write=False)
     complete.setflags(write=False)
-    return FrontierTables(rows, rows_in, base, complete, width)
+    return FrontierTables(rows, rows_in, complete, width)
+
+
+def source_row_starts(dag: OrientedDAG, edges: np.ndarray) -> np.ndarray:
+    """The row offset of each directed edge's source: its drive's ``base``.
+
+    The source of edge ``e`` is ``edge_keys[e] // n`` (the DAG's memoized
+    ``source·n + target`` keys), and its rows start at ``out_indptr`` of
+    that source. Two gathers over the given edges, O(|edges|).
+    """
+    return dag.out_indptr[dag.edge_keys[edges] // dag.num_vertices]
 
 
 def scatter_triangles(
@@ -193,7 +200,7 @@ def scatter_triangles(
     bit ``w`` in ``rows_in[(u, v) - e0]``, both renamed within N⁺(u);
     the edge ids come from one :meth:`OrientedDAG.present_edge_ids`
     lookup each. ``rows``/``rows_in`` may be a block of the full tables
-    (a shard's memmap), in which case every triangle's source must lie
+    (a shard's block), in which case every triangle's source must lie
     in it. Returns the block rows ``(u, w) - e0`` and ``(u, v) - e0``
     of every triangle.
     """
@@ -363,7 +370,7 @@ def _drive(
 class _Resident:
     """The in-RAM tables as a plan of one shard, served without a copy."""
 
-    spilled = False
+    sharded = False
 
     def __init__(self, tables: FrontierTables) -> None:
         self.tables = tables
@@ -372,8 +379,8 @@ class _Resident:
     def block(self, index: int, metrics: Any = None) -> FrontierTables:
         return self.tables
 
-    def evict_all(self) -> int:
-        return 0
+    def evict_all(self) -> None:
+        pass
 
 
 def resident_plan(ctx: PreparedGraph, tracker: Tracker) -> ContextManager[Any]:
@@ -418,31 +425,31 @@ def _drive_shard(
 
     Counting answers the edges whose community is complete in closed
     form (:func:`_closed_count`) and drives only the rest; listing
-    drives every edge.
+    drives every edge. Only driven edges pay for their row start.
 
     Frozen: state
     """
-    source, out_indices, eligible, sizes, _, prefixes = state
+    source, dag, eligible, sizes, _, prefixes = state
     tables = source.block(index, metrics=metrics)
     e0, e1 = source.edge_bounds[index], source.edge_bounds[index + 1]
-    local = eligible[lo:hi] - e0
+    seeds = eligible[lo:hi]
     closed = 0
     if prefixes is None:
-        flagged = tables.complete[local]
+        flagged = tables.complete[seeds - e0]
         closed = _closed_count(sizes[lo:hi][flagged], c)
         if metrics is not None:
             metrics.counter("frontier.closed_edges").inc(
                 int(np.count_nonzero(flagged))
             )
-        local = local[~flagged]
+        seeds = seeds[~flagged]
     got, rows = _drive(
         tables,
-        tables.base[local],
-        tables.rows_in[local],
+        source_row_starts(dag, seeds) - e0,
+        tables.rows_in[seeds - e0],
         c,
         prune=prune,
         prefixes=None if prefixes is None else prefixes[lo:hi],
-        out_indices=out_indices[e0:e1],
+        out_indices=dag.out_indices[e0:e1],
         metrics=metrics,
     )
     return closed + got, rows
@@ -488,7 +495,7 @@ def _run_units(
         total += got
         if rows is not None and rows.shape[0]:
             pieces.append(rows)
-    if metrics is not None and source.spilled and walls:
+    if metrics is not None and source.sharded and walls:
         mean = sum(walls) / len(walls)
         if mean > 0:
             metrics.gauge("shard.wall_imbalance").set_max(max(walls) / mean)
@@ -504,9 +511,9 @@ def _plan_worker(
     """Process-pool worker: drive one contiguous chunk of eligible edges.
 
     Each forked child builds the blocks its chunk needs through its own
-    window (spill filenames are pid-scoped, so siblings never collide)
-    and evicts them when done. Its instruments go to a private registry
-    whose export comes back with the count for the parent to merge.
+    copy-on-write window and evicts them when done. Its instruments go
+    to a private registry whose export comes back with the count for the
+    parent to merge.
     """
     state = worker_state()
     metrics = MetricsRegistry()
@@ -539,7 +546,7 @@ def execute(
     Returns ``(count, listing)``; ``listing`` is ``None`` unless
     ``listing=True``. k ≤ 3 are closed forms. For k ≥ 4, ``open_plan``
     yields the plan's tables: :func:`resident_plan` (the default) or the
-    budgeted :func:`repro.core.sharded.spilled_plan`. Each shard's
+    budgeted :func:`repro.core.sharded.budgeted_plan`. Each shard's
     eligible edges are driven once. ``workers > 1`` fans contiguous
     chunks of eligible edges, weighted by community size, out over
     processes; otherwise everything runs in this process.
@@ -571,11 +578,11 @@ def execute(
         prefixes = np.stack([us[eligible], vs[eligible]], axis=1).astype(np.int64)
     metrics = tracker.metrics
     with open_plan(ctx, tracker) as source:
-        if metrics is not None and source.spilled:
+        if metrics is not None and source.sharded:
             metrics.gauge("shard.count").set(source.edge_bounds.size - 1)
         bounds = np.searchsorted(eligible, source.edge_bounds)
         sizes = comms.sizes[eligible]
-        state = (source, dag.out_indices, eligible, sizes, bounds, prefixes)
+        state = (source, dag, eligible, sizes, bounds, prefixes)
         if workers is not None and workers > 1:
             got = parallel_map_reduce(
                 _plan_worker,

@@ -99,7 +99,7 @@ EDGE_ORDER_KINDS = ("exact", "approx")
 
 # The piece vocabulary the patch-in-place engine (repro.dynamic.patch)
 # works in. "kernel" entries are keyed per clique size k,
-# "sharded_tables" per (variant, budget, window), the rest per order
+# "sharded_tables" per (variant, budget), the rest per order
 # variant / edge-order kind.
 PIECE_KINDS = (
     "order",
@@ -123,17 +123,13 @@ def _approx_nbytes(obj: Any, seen: set) -> int:
 
     Counts numpy array payloads (the only thing that matters at scale)
     and walks dicts/sequences/slotted objects to find them; a shared
-    array is counted once (``seen`` dedups by id). Disk-backed
-    ``np.memmap`` blocks count as zero — their residency is governed by
-    the shard window and reported by the ``shard.bytes.*`` gauges, not
-    by the cache's resident-bytes number. Weakrefs are never followed.
+    array is counted once (``seen`` dedups by id). Weakrefs are never
+    followed.
     """
     oid = id(obj)
     if oid in seen or obj is None:
         return 0
     seen.add(oid)
-    if isinstance(obj, np.memmap):
-        return 0
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes)
     if isinstance(obj, weakref.ref):
@@ -404,29 +400,27 @@ class PreparedGraph:
         variant: str = "degeneracy",
         tracker: Tracker = NULL_TRACKER,
         memory_budget_bytes: Optional[int] = None,
-        window: int = 2,
     ) -> Any:
         """The out-of-core shard plan + lazily-built table blocks.
 
-        Keyed by ``(variant, budget, window)`` — a different budget
-        yields a different shard partition. Only the *plan* is built
-        here (and charged, like the in-RAM tables, under the ``bitrows``
-        phase); individual blocks materialize on demand inside the
-        returned :class:`~repro.core.sharded.ShardedTables` and are
-        individually evictable, so a warm context never pins more than
-        the windowed blocks resident. A closed plan is rebuilt.
+        Keyed by ``(variant, budget)`` — a different budget yields a
+        different shard partition. Only the *plan* is built here (and
+        charged, like the in-RAM tables, under the ``bitrows`` phase);
+        individual blocks materialize on demand inside the returned
+        :class:`~repro.core.sharded.ShardedTables` and are individually
+        evictable, so a warm context never pins more than the windowed
+        blocks resident.
         """
         self._check_variant(variant)
         key = (
             variant,
             None if memory_budget_bytes is None else int(memory_budget_bytes),
-            int(window),
         )
 
         def build(dag: OrientedDAG, tri: np.ndarray) -> Any:
             from .sharded import open_sharded_tables
 
-            got = open_sharded_tables(dag, tri, memory_budget_bytes, window)
+            got = open_sharded_tables(dag, tri, memory_budget_bytes)
             tracker.charge(
                 Cost(
                     float(dag.num_vertices + got.plan.num_shards),
@@ -435,18 +429,14 @@ class PreparedGraph:
             )
             return got
 
-        with self._lock:
-            got = self._pieces.get(("sharded_tables", key))
-            if got is not None and got.closed:
-                del self._pieces[("sharded_tables", key)]
-            return self._memo(
-                "sharded_tables",
-                key,
-                tracker,
-                tracker.phase("bitrows"),
-                build,
-                lambda: self._dag_and_triangles(variant, tracker),
-            )
+        return self._memo(
+            "sharded_tables",
+            key,
+            tracker,
+            tracker.phase("bitrows"),
+            build,
+            lambda: self._dag_and_triangles(variant, tracker),
+        )
 
     def approx_bytes(self) -> int:
         """Approximate resident bytes of the memoized pieces.
@@ -455,8 +445,7 @@ class PreparedGraph:
         arrays (the triangles feed the communities *and* the tables —
         they count once). The graph itself is not counted: the cache
         holds it weakly, so its lifetime — and its bytes — belong to the
-        caller. Spilled shard blocks count as zero (disk, not RAM); see
-        :func:`_approx_nbytes`.
+        caller. A shard plan counts its resident blocks.
         """
         with self._lock:
             return _approx_nbytes(self._pieces, set())

@@ -28,12 +28,12 @@ The machinery
   so that ``window`` concurrently-resident blocks fit the
   ``memory_budget_bytes`` envelope; a single source vertex is the
   indivisible minimum.
-* :class:`ShardedTables` builds each shard's block on demand into a
-  ``np.memmap`` scratch file under a managed spill directory
-  (:class:`SpillDir`), keeps at most ``window`` blocks mapped (LRU), and
-  evicts the rest — eviction drops the mapping and unlinks the scratch
-  file, so the resident footprint tracks the budget, not the graph.
-* :func:`spilled_plan` hands those blocks to the one frontier executor
+* :class:`ShardedTables` builds each shard's block on demand into
+  plain numpy arrays of exactly the priced bytes, keeps at most
+  ``window`` blocks resident (LRU), and evicts the rest, so the
+  resident footprint tracks the budget, not the graph. An evicted
+  block is rebuilt from the resident triangles when it is next needed.
+* :func:`budgeted_plan` hands those blocks to the one frontier executor
   (:func:`repro.core.frontier.execute`), which drives each shard's
   eligible edges in turn or fans them out over processes;
   :func:`sharded_count_cliques` / :func:`sharded_list_cliques` are its
@@ -42,22 +42,18 @@ The machinery
   shard as two half-slices and asserts the sums agree).
 
 Observability: ``shard.count``, ``shard.bytes.built``,
-``shard.bytes.spilled``, ``shard.bytes.resident``,
-``shard.bytes.resident_peak``, ``shard.window.occupancy``,
-``shard.evictions`` and ``shard.wall_imbalance`` land in the tracker's
-metrics registry (see docs/OBSERVABILITY.md).
+``shard.bytes.resident``, ``shard.bytes.resident_peak``,
+``shard.window.occupancy``, ``shard.evictions`` and
+``shard.wall_imbalance`` land in the tracker's metrics registry (see
+docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
-import os
 import re
-import shutil
-import tempfile
 import threading
-import weakref
 from collections import OrderedDict
-from contextlib import closing, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, ContextManager, List, Optional, Tuple
 
@@ -79,10 +75,9 @@ __all__ = [
     "Shard",
     "ShardPlan",
     "plan_shards",
-    "SpillDir",
     "ShardedTables",
     "open_sharded_tables",
-    "spilled_plan",
+    "budgeted_plan",
     "sharded_count_cliques",
     "sharded_list_cliques",
 ]
@@ -182,7 +177,7 @@ class ShardPlan:
 
     Shards partition ``[0, n)`` by vertex and ``[0, m)`` by edge row;
     ``table_bytes(i)`` is the exact block cost the planner sized
-    against, so callers can reason about the spill/resident envelope
+    against, so callers can reason about the resident envelope
     before any allocation.
     """
 
@@ -224,7 +219,7 @@ def plan_shards(
     """Partition the source-vertex range so windowed blocks fit the budget.
 
     The per-shard envelope is ``memory_budget_bytes // window`` (the
-    streaming loop keeps up to ``window`` blocks mapped at once); the
+    streaming loop keeps up to ``window`` blocks resident at once); the
     greedy walk closes a shard at the last vertex whose cumulative edge
     rows still fit, with a single vertex as the indivisible minimum —
     one hub's ``outdeg·W`` rows can exceed any budget, and splitting a
@@ -261,79 +256,24 @@ def plan_shards(
     )
 
 
-class SpillDir:
-    """A managed scratch directory for memory-mapped shard blocks.
-
-    Created eagerly, removed exactly once — by :meth:`close`, or by the
-    ``weakref.finalize`` guard when the owner is garbage-collected or
-    the interpreter exits (including exits forced by an unhandled
-    ``KeyboardInterrupt``). Removal is recursive and error-tolerant, so
-    a crashed run never strands scratch files past process death.
-    """
-
-    def __init__(self, root: Optional[str] = None) -> None:
-        self.path = tempfile.mkdtemp(prefix="repro-shard-", dir=root)
-        self._finalizer = weakref.finalize(
-            self, shutil.rmtree, self.path, ignore_errors=True
-        )
-
-    @property
-    def closed(self) -> bool:
-        return not self._finalizer.alive
-
-    def file(self, name: str) -> str:
-        return os.path.join(self.path, name)
-
-    def close(self) -> None:
-        """Remove the directory and everything in it (idempotent)."""
-        self._finalizer()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "closed" if self.closed else "open"
-        return f"SpillDir({self.path!r}, {state})"
-
-
-class _Block:
-    """One resident shard block: its tables view and its scratch file."""
-
-    __slots__ = ("tables", "path", "nbytes", "pid")
-
-    def __init__(
-        self,
-        tables: FrontierTables,
-        path: Optional[str],
-        nbytes: int,
-        pid: int,
-    ) -> None:
-        self.tables = tables
-        self.path = path
-        self.nbytes = nbytes
-        self.pid = pid
-
-
 class ShardedTables:
     """Lazily-built, individually-evictable shard blocks of one DAG.
 
-    Each block is the frontier-table pair of one shard, built on first
-    use into a ``np.memmap`` under the spill directory and rebased so
-    local edge row ``e - e0`` is the block's row index. At most
-    ``plan.window`` blocks stay mapped (LRU); eviction unmaps and
-    unlinks. Forked worker processes inherit the object copy-on-write:
-    scratch filenames carry the builder's pid, and eviction only unlinks
-    files the *current* process created, so a child can never delete a
-    block its parent (or sibling) is still reading.
+    Each block is the frontier tables of one shard, built on first use
+    into plain numpy arrays with local edge row ``e - e0`` as the
+    block's row index. A block holds exactly the ``plan.table_bytes``
+    the planner priced. At most ``plan.window`` blocks stay resident
+    (LRU); eviction drops the arrays, and a later access rebuilds the
+    block from the resident triangles. Forked worker processes inherit
+    the object copy-on-write and evict only their own copies.
     """
 
     # A plan source of :func:`repro.core.frontier.execute`: its blocks
-    # are built into spill files, so it reports the ``shard.*`` metrics.
-    spilled = True
+    # are budgeted shards, so it reports the ``shard.*`` metrics.
+    sharded = True
 
     def __init__(
-        self,
-        dag: Any,
-        triangles: np.ndarray,
-        plan: ShardPlan,
-        spill_root: Optional[str] = None,
+        self, dag: Any, triangles: np.ndarray, plan: ShardPlan
     ) -> None:
         self._dag = dag
         self.plan = plan
@@ -343,199 +283,98 @@ class ShardedTables:
             # the per-shard slicing below needs sortedness once.
             tri = tri[np.argsort(tri[:, 0], kind="stable")]
         self._triangles = tri
-        self._spill = SpillDir(root=spill_root)
         self._lock = threading.RLock()
-        self._blocks: "OrderedDict[int, _Block]" = OrderedDict()
-        self.bytes_built = 0
-        self.evictions = 0
+        self._blocks: "OrderedDict[int, FrontierTables]" = OrderedDict()
         # First edge row of every shard, then m: where the executor cuts.
         self.edge_bounds = np.array(
             [s.e0 for s in plan.shards] + [plan.num_edges], dtype=np.int64
         )
 
-    # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def spill_path(self) -> str:
-        return self._spill.path
-
-    @property
-    def closed(self) -> bool:
-        return self._spill.closed
-
     def resident_bytes(self) -> int:
-        """Bytes of currently-mapped blocks (the windowed footprint)."""
+        """Bytes of currently-resident blocks (the windowed footprint)."""
         with self._lock:
-            return sum(b.nbytes for b in self._blocks.values())
+            return sum(self.plan.table_bytes(i) for i in self._blocks)
 
-    def resident_shards(self) -> Tuple[int, ...]:
+    def evict_all(self) -> None:
         with self._lock:
-            return tuple(self._blocks.keys())
+            self._blocks.clear()
 
-    def close(self) -> None:
-        """Evict everything and remove the spill directory (idempotent)."""
-        with self._lock:
-            self.evict_all()
-            self._spill.close()
-
-    # -- block window ------------------------------------------------------
-
-    def _evict_one(self) -> None:
-        _, block = self._blocks.popitem(last=False)
-        self.evictions += 1
-        block.tables = None  # type: ignore[assignment]
-        if block.path is not None and block.pid == os.getpid():
-            try:
-                os.unlink(block.path)
-            except OSError:
-                pass
-
-    def evict(self, index: Optional[int] = None) -> int:
-        """Drop one block (the LRU one, or ``index``); returns count dropped."""
-        with self._lock:
-            if not self._blocks:
-                return 0
-            if index is not None:
-                if index not in self._blocks:
-                    return 0
-                self._blocks.move_to_end(index, last=False)
-            self._evict_one()
-            return 1
-
-    def evict_all(self) -> int:
-        with self._lock:
-            dropped = 0
-            while self._blocks:
-                self._evict_one()
-                dropped += 1
-            return dropped
-
-    def _build_block(self, shard: Shard) -> _Block:
+    def _build_block(self, shard: Shard) -> FrontierTables:
         dag = self._dag
         width = self.plan.width
-        m_shard = shard.num_edges
-        e0, e1 = shard.e0, shard.e1
-        us, _ = dag.edge_endpoints()
-        us_slice = us[e0:e1].astype(np.int64)
-        base = dag.out_indptr[us_slice] - e0
-        base.setflags(write=False)
-        if width == 0 or m_shard == 0:
-            rows = np.zeros((m_shard, width), dtype=np.uint64)
-            rows_in = np.zeros((m_shard, width), dtype=np.uint64)
-            complete = np.ones(m_shard, dtype=bool)
-            rows.setflags(write=False)
-            rows_in.setflags(write=False)
-            complete.setflags(write=False)
-            tables = FrontierTables(rows, rows_in, base, complete, width)
-            return _Block(tables, None, 0, os.getpid())
-        path = self._spill.file(f"shard-{shard.index}-pid{os.getpid()}.bin")
-        mm = np.memmap(
-            path, dtype=np.uint64, mode="w+", shape=(2, m_shard, width)
-        )
+        rows = np.zeros((shard.num_edges, width), dtype=np.uint64)
+        rows_in = np.zeros((shard.num_edges, width), dtype=np.uint64)
         tri = self._triangles
         lo = int(np.searchsorted(tri[:, 0], shard.v_lo, side="left"))
         hi = int(np.searchsorted(tri[:, 0], shard.v_hi, side="left"))
-        e_uw, e_uv = scatter_triangles(dag, tri[lo:hi], mm[0], mm[1], e0)
-        complete = complete_flags(mm[0], mm[1], e_uw, e_uv)
-        mm.flush()
-        mm.setflags(write=False)
+        e_uw, e_uv = scatter_triangles(dag, tri[lo:hi], rows, rows_in, shard.e0)
+        complete = complete_flags(rows, rows_in, e_uw, e_uv)
+        rows.setflags(write=False)
+        rows_in.setflags(write=False)
         complete.setflags(write=False)
-        tables = FrontierTables(mm[0], mm[1], base, complete, width)
-        nbytes = int(mm.nbytes + complete.nbytes)
-        return _Block(tables, path, nbytes, os.getpid())
+        return FrontierTables(rows, rows_in, complete, width)
 
     def block(self, index: int, metrics: Any = None) -> FrontierTables:
         """The frontier tables of shard ``index``, building on a miss.
 
-        A hit refreshes the block's LRU position; a miss builds the
-        memmap block and evicts down to the window. ``metrics`` (a
-        registry, optional) receives the ``shard.*`` build/evict/
-        residency instruments.
+        A hit refreshes the block's LRU position; a miss first evicts
+        down to one below the window, then builds the block, so at most
+        ``plan.window`` blocks are resident even during a build.
+        ``metrics`` (a registry, optional) receives the ``shard.*``
+        build/evict/residency instruments.
         """
-        shard = self.plan.shards[index]
         with self._lock:
-            if self._spill.closed:
-                raise RuntimeError(
-                    "sharded tables are closed; their spill directory is gone"
-                )
             got = self._blocks.get(index)
             if got is not None:
                 self._blocks.move_to_end(index)
-                return got.tables
-            block = self._build_block(shard)
-            self._blocks[index] = block
-            self.bytes_built += block.nbytes
-            evicted_before = self.evictions
-            while len(self._blocks) > self.plan.window:
-                self._evict_one()
+                return got
+            evicted = 0
+            while len(self._blocks) >= self.plan.window:
+                self._blocks.popitem(last=False)
+                evicted += 1
+            tables = self._build_block(self.plan.shards[index])
+            self._blocks[index] = tables
             if metrics is not None:
-                metrics.counter("shard.bytes.built").inc(block.nbytes)
-                if block.path is not None:
-                    metrics.counter("shard.bytes.spilled").inc(block.nbytes)
-                if self.evictions > evicted_before:
-                    metrics.counter("shard.evictions").inc(
-                        self.evictions - evicted_before
-                    )
-                resident = sum(b.nbytes for b in self._blocks.values())
+                metrics.counter("shard.bytes.built").inc(
+                    self.plan.table_bytes(index)
+                )
+                if evicted:
+                    metrics.counter("shard.evictions").inc(evicted)
+                resident = self.resident_bytes()
                 metrics.gauge("shard.bytes.resident").set(resident)
                 metrics.gauge("shard.bytes.resident_peak").set_max(resident)
                 metrics.histogram("shard.window.occupancy").record(
                     len(self._blocks)
                 )
-            return block.tables
+            return tables
 
 
 def open_sharded_tables(
-    dag: Any,
-    triangles: np.ndarray,
-    memory_budget_bytes: Optional[int],
-    window: int = 2,
-    spill_root: Optional[str] = None,
+    dag: Any, triangles: np.ndarray, memory_budget_bytes: Optional[int]
 ) -> ShardedTables:
     """Plan ``dag``'s shards for the budget and open their (lazy) blocks."""
     plan = plan_shards(
-        dag.out_indptr,
-        (dag.max_out_degree + 63) // 64,
-        memory_budget_bytes,
-        window,
+        dag.out_indptr, (dag.max_out_degree + 63) // 64, memory_budget_bytes
     )
-    return ShardedTables(dag, triangles, plan, spill_root=spill_root)
+    return ShardedTables(dag, triangles, plan)
 
 
-def spilled_plan(
+def budgeted_plan(
     memory_budget_bytes: Optional[int],
-    window: int = 2,
-    spill_root: Optional[str] = None,
-    shared: bool = True,
 ) -> Callable[[PreparedGraph, Tracker], ContextManager[ShardedTables]]:
     """The budgeted plan opener for :func:`repro.core.frontier.execute`.
 
-    With ``shared`` (the context outlives the query) and no
-    ``spill_root``, the plan is the context's memoized piece keyed by
-    (budget, window), so a multi-k sweep or a warm server streams from
-    the same spill files. Otherwise the query gets private tables,
-    closed (spill files removed) when it ends, even on error.
+    The plan is the context's memoized piece keyed by the budget, so a
+    multi-k sweep or a warm server streams from the same blocks; a cold
+    call's private context owns its plan and frees it with itself.
     """
 
     def open_plan(
         ctx: PreparedGraph, tracker: Tracker
     ) -> ContextManager[ShardedTables]:
-        if shared and spill_root is None:
-            return nullcontext(
-                ctx.sharded_tables(
-                    "degeneracy",
-                    tracker,
-                    memory_budget_bytes=memory_budget_bytes,
-                    window=window,
-                )
-            )
-        return closing(
-            open_sharded_tables(
-                ctx.dag("degeneracy", tracker),
-                ctx.triangles("degeneracy", tracker),
-                memory_budget_bytes,
-                window,
-                spill_root,
+        return nullcontext(
+            ctx.sharded_tables(
+                "degeneracy", tracker, memory_budget_bytes=memory_budget_bytes
             )
         )
 
@@ -550,29 +389,21 @@ def sharded_count_cliques(
     tracker: Tracker = NULL_TRACKER,
     prune: bool = True,
     workers: Optional[int] = None,
-    window: int = 2,
     verify: bool = False,
-    spill_root: Optional[str] = None,
 ) -> int:
     """Count k-cliques with out-of-core sharded frontier tables.
 
     Bit-identical to :func:`~repro.core.frontier.frontier_count_cliques`
-    on every graph both can handle, but only ``window`` shard blocks of
-    the tables are ever mapped at once — ``memory_budget_bytes`` bounds
+    on every graph both can handle, but only a window of shard blocks of
+    the tables is ever resident at once — ``memory_budget_bytes`` bounds
     the resident table footprint instead of the graph's O(m·γ) total.
     ``workers > 1`` fans chunks of eligible edges out over processes
     (each child streams its own window); ``verify=True`` re-proves the
     disjoint-union additivity oracle on every shard slice (≈2× the
     counting work — a correctness harness, not a serving mode).
-    ``spill_root`` overrides the scratch-file location (tests point it
-    at a tmpdir to observe cleanup); passing it forces a private,
-    non-memoized table set even on a warm context.
     """
-    plan = spilled_plan(
-        memory_budget_bytes, window, spill_root, shared=prepared is not None
-    )
     return execute(
-        graph, k, prepared, tracker, plan,
+        graph, k, prepared, tracker, budgeted_plan(memory_budget_bytes),
         prune=prune, workers=workers, verify=verify,
     )[0]
 
@@ -583,8 +414,6 @@ def sharded_list_cliques(
     memory_budget_bytes: Optional[int] = None,
     prepared: Optional[PreparedGraph] = None,
     tracker: Tracker = NULL_TRACKER,
-    window: int = 2,
-    spill_root: Optional[str] = None,
 ) -> List[Tuple[int, ...]]:
     """List k-cliques canonically, streaming table shards under a budget.
 
@@ -593,9 +422,9 @@ def sharded_list_cliques(
     lexicographic order). Only the *tables* are budgeted — the listing
     itself is Ω(#cliques·k) and is returned in RAM either way.
     """
-    plan = spilled_plan(
-        memory_budget_bytes, window, spill_root, shared=prepared is not None
-    )
-    listed = execute(graph, k, prepared, tracker, plan, listing=True)[1]
+    listed = execute(
+        graph, k, prepared, tracker, budgeted_plan(memory_budget_bytes),
+        listing=True,
+    )[1]
     assert listed is not None
     return listed

@@ -161,7 +161,7 @@ def oracle_process(
     """Both process fan-outs (``workers=2``) match the reference count.
 
     The reference recursion on processes, and the frontier executor's
-    plan units on processes: one resident shard, and many spilled shards
+    plan units on processes: one resident shard, and many budgeted shards
     under a 1-byte budget.
     """
     del rng

@@ -71,7 +71,7 @@ class QueryEstimate:
     query would materialize (``(16·ceil(s/64) + 1)·m`` — out-degrees under a
     degeneracy order are bounded by ``s``, so the prediction needs only
     registry statistics); ``resident_bytes`` is what will actually stay
-    mapped at peak, i.e. ``table_bytes`` capped at the serving memory
+    resident at peak, i.e. ``table_bytes`` capped at the serving memory
     budget for the ops the out-of-core sharded engine can stream.
     """
 
@@ -187,7 +187,7 @@ def estimate_query(
         and tables > memory_budget_bytes
     ):
         # The sharded engine streams these ops under the budget: at
-        # peak, only the windowed blocks are mapped.
+        # peak, only the windowed blocks are resident.
         resident = float(memory_budget_bytes)
     return QueryEstimate(
         work=prep + search,

@@ -18,7 +18,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import count_cliques
-from repro.core.frontier import _drive, execute, frontier_count_cliques
+from repro.core.frontier import (
+    _drive,
+    execute,
+    frontier_count_cliques,
+    source_row_starts,
+)
 from repro.core.prepared import PreparedGraph
 from repro.core.sharded import (
     ShardedTables,
@@ -108,9 +113,8 @@ def test_execute_equals_driving_every_eligible_edge(name, k):
     tables = ctx.frontier_tables("degeneracy")
     comms = ctx.communities("degeneracy")
     eligible = np.flatnonzero(comms.sizes >= k - 2)
-    driven, _ = _drive(
-        tables, tables.base[eligible], tables.rows_in[eligible], k - 2
-    )
+    base = source_row_starts(ctx.dag("degeneracy"), eligible)
+    driven, _ = _drive(tables, base, tables.rows_in[eligible], k - 2)
     assert execute(g, k, prepared=ctx)[0] == driven
 
 
@@ -162,15 +166,10 @@ def test_every_rebased_block_carries_its_slice_of_the_flags(budget):
     expected = _pairwise_complete(dag)
     plan = plan_shards(dag.out_indptr, (dag.max_out_degree + 63) // 64, budget)
     sharded = ShardedTables(dag, ctx.triangles("degeneracy"), plan)
-    try:
-        for shard in plan.shards:
-            block = sharded.block(shard.index)
-            assert not block.complete.flags.writeable
-            assert np.array_equal(
-                block.complete, expected[shard.e0 : shard.e1]
-            )
-    finally:
-        sharded.close()
+    for shard in plan.shards:
+        block = sharded.block(shard.index)
+        assert not block.complete.flags.writeable
+        assert np.array_equal(block.complete, expected[shard.e0 : shard.e1])
 
 
 def test_patched_tables_carry_fresh_flags():

@@ -2,7 +2,7 @@
 
 Every frontier query runs through :func:`repro.core.frontier.execute`
 over a shard plan. The bodies below run unchanged on each plan — one
-resident shard, many spilled shards under a 1-byte budget, and each of
+resident shard, many budgeted shards under a 1-byte budget, and each of
 those fanned out over two worker processes — and must agree with brute
 force and with the reference engine, for counts and canonical listings.
 """
@@ -16,7 +16,7 @@ from repro import count_cliques, list_cliques
 from repro.baselines import brute_force_count, brute_force_list
 from repro.core.frontier import execute, resident_plan
 from repro.core.prepared import PreparedGraph
-from repro.core.sharded import spilled_plan
+from repro.core.sharded import budgeted_plan
 from repro.graphs import (
     complete_graph,
     empty_graph,
@@ -30,8 +30,8 @@ from repro.pram.tracker import Tracker
 PLANS = {
     "resident": (resident_plan, None),
     "resident-workers2": (resident_plan, 2),
-    "spilled-1B": (spilled_plan(1, shared=False), None),
-    "spilled-1B-workers2": (spilled_plan(1, shared=False), 2),
+    "spilled-1B": (budgeted_plan(1), None),
+    "spilled-1B-workers2": (budgeted_plan(1), 2),
 }
 
 GRAPHS = {
@@ -110,7 +110,7 @@ def test_workers_never_choose_the_engine():
 
 def test_shard_metrics_only_on_spilled_plans():
     g = gnm_random_graph(40, 260, seed=8)
-    for plan, want_shards in ((resident_plan, False), (spilled_plan(1), True)):
+    for plan, want_shards in ((resident_plan, False), (budgeted_plan(1), True)):
         registry = MetricsRegistry()
         tracker = Tracker()
         tracker.attach_metrics(registry)

@@ -25,6 +25,7 @@ from repro.core.frontier import (
     build_frontier_tables,
     frontier_count_cliques,
     frontier_list_cliques,
+    source_row_starts,
 )
 from repro.core.prepared import PreparedGraph
 from repro.fuzz.strategies import random_graphs
@@ -105,8 +106,10 @@ class TestTrivialSizes:
             frontier_count_cliques(g, 0)
 
 
-def _drive_slice(tables, eids, c):
-    return _drive(tables, tables.base[eids], tables.rows_in[eids], c)[0]
+def _drive_slice(ctx, eids, c):
+    tables = ctx.frontier_tables("degeneracy")
+    base = source_row_starts(ctx.dag("degeneracy"), eids)
+    return _drive(tables, base, tables.rows_in[eids], c)[0]
 
 
 class TestSliceDecomposition:
@@ -117,18 +120,16 @@ class TestSliceDecomposition:
         k = 5
         ctx = PreparedGraph(g)
         total = frontier_count_cliques(g, k, prepared=ctx)
-        tables = ctx.frontier_tables("degeneracy")
         comms = ctx.communities("degeneracy")
         eligible = np.flatnonzero(comms.sizes >= (k - 2))
         for parts in (1, 2, 3, 7):
             pieces = np.array_split(eligible, parts)
-            assert sum(_drive_slice(tables, p, k - 2) for p in pieces) == total
+            assert sum(_drive_slice(ctx, p, k - 2) for p in pieces) == total
 
     def test_empty_slice_counts_zero(self):
         g = complete_graph(6)
         ctx = PreparedGraph(g)
-        tables = ctx.frontier_tables("degeneracy")
-        assert _drive_slice(tables, np.empty(0, dtype=np.int64), 2) == 0
+        assert _drive_slice(ctx, np.empty(0, dtype=np.int64), 2) == 0
 
 
 class TestTriangleListing:

@@ -5,12 +5,13 @@ counts and listings to the in-RAM frontier engine under *every* budget —
 including the 1-byte adversarial budget that slices one source vertex
 per shard, and the unlimited budget that degenerates to a single shard.
 Alongside equality, these tests pin the operational contract: exact
-byte prediction before allocation, resident-window enforcement, spill
-cleanup on success / error / interrupt, the memory-aware dispatch leg,
-and the service-side over-memory admission.
+byte prediction before allocation, blocks that hold exactly their
+priced bytes, resident-window enforcement, no scratch files on success /
+error / interrupt, the memory-aware dispatch leg, and the service-side
+over-memory admission.
 """
 
-import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -18,11 +19,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import count_cliques, list_cliques
+from repro.bench.datasets import load_dataset
 from repro.core.api import resolve_engine
 from repro.core.frontier import (
+    FrontierTables,
     build_frontier_tables,
     frontier_count_cliques,
     frontier_list_cliques,
+    source_row_starts,
 )
 from repro.core.prepared import PreparedCache, PreparedGraph
 from repro.core.sharded import (
@@ -190,21 +194,17 @@ def test_unlimited_budget_is_the_identity_plan():
     tri = ctx.triangles("degeneracy")
     plan = plan_shards(dag.out_indptr, (dag.max_out_degree + 63) // 64)
     assert plan.num_shards == 1
-    sharded = ShardedTables(dag, tri, plan)
-    try:
-        block = sharded.block(0)
-        full = build_frontier_tables(dag, tri)
-        assert np.array_equal(np.asarray(block.rows), full.rows)
-        assert np.array_equal(np.asarray(block.rows_in), full.rows_in)
-        assert np.array_equal(np.asarray(block.base), full.base)
-        assert np.array_equal(block.complete, full.complete)
-    finally:
-        sharded.close()
+    block = ShardedTables(dag, tri, plan).block(0)
+    full = build_frontier_tables(dag, tri)
+    assert np.array_equal(block.rows, full.rows)
+    assert np.array_equal(block.rows_in, full.rows_in)
+    assert np.array_equal(block.complete, full.complete)
 
 
 @pytest.mark.parametrize("budget", [1, 512, 4096])
 def test_every_block_is_the_rebased_slice_of_the_full_tables(budget):
-    """A shard block is rows [e0, e1) of the in-RAM tables, base - e0."""
+    """A shard block is rows [e0, e1) of the in-RAM tables; its seeds'
+    row starts, rebased by -e0, stay inside the block."""
     g = gnm_random_graph(80, 500, seed=5)
     ctx = PreparedGraph(g)
     dag = ctx.dag("degeneracy")
@@ -213,18 +213,61 @@ def test_every_block_is_the_rebased_slice_of_the_full_tables(budget):
     plan = plan_shards(dag.out_indptr, full.width, budget)
     assert plan.num_shards > 1
     sharded = ShardedTables(dag, tri, plan)
-    try:
-        for shard in plan.shards:
-            block = sharded.block(shard.index)
-            e0, e1 = shard.e0, shard.e1
-            assert np.array_equal(np.asarray(block.rows), full.rows[e0:e1])
-            assert np.array_equal(
-                np.asarray(block.rows_in), full.rows_in[e0:e1]
-            )
-            assert np.array_equal(np.asarray(block.base), full.base[e0:e1] - e0)
-            assert np.array_equal(block.complete, full.complete[e0:e1])
-    finally:
-        sharded.close()
+    us, _ = dag.edge_endpoints()
+    for shard in plan.shards:
+        block = sharded.block(shard.index)
+        e0, e1 = shard.e0, shard.e1
+        assert np.array_equal(block.rows, full.rows[e0:e1])
+        assert np.array_equal(block.rows_in, full.rows_in[e0:e1])
+        assert np.array_equal(block.complete, full.complete[e0:e1])
+        starts = source_row_starts(dag, np.arange(e0, e1))
+        assert np.array_equal(starts, dag.out_indptr[us[e0:e1]])
+        assert np.all((starts >= e0) & (starts < e1))
+
+
+def _held_bytes(tables):
+    """Bytes of every array a FrontierTables holds."""
+    return sum(
+        getattr(tables, name).nbytes
+        for name in FrontierTables.__slots__
+        if isinstance(getattr(tables, name), np.ndarray)
+    )
+
+
+def test_blocks_hold_exactly_their_priced_bytes(monkeypatch):
+    """Every array of a block is priced; the real resident peak fits."""
+    budget = 64 * 1024
+    g = load_dataset("sbm-community", 3)
+    ctx = PreparedGraph(g)
+    plan = ctx.sharded_tables("degeneracy", memory_budget_bytes=budget).plan
+    assert plan.num_shards > 1
+    fresh = ShardedTables(
+        ctx.dag("degeneracy"), ctx.triangles("degeneracy"), plan
+    )
+    for shard in plan.shards:
+        block = fresh.block(shard.index)
+        assert _held_bytes(block) == plan.table_bytes(shard.index)
+
+    real_peak = 0
+    real_block = ShardedTables.block
+
+    def spy(self, index, metrics=None):
+        nonlocal real_peak
+        got = real_block(self, index, metrics)
+        held = sum(_held_bytes(t) for t in self._blocks.values())
+        real_peak = max(real_peak, held)
+        return got
+
+    monkeypatch.setattr(ShardedTables, "block", spy)
+    registry = MetricsRegistry()
+    tracker = Tracker()
+    tracker.attach_metrics(registry)
+    got = sharded_count_cliques(
+        g, 5, memory_budget_bytes=budget, prepared=ctx, tracker=tracker
+    )
+    assert got == frontier_count_cliques(g, 5)
+    reported = registry.to_dict()["shard.bytes.resident_peak"]["value"]
+    assert 0 < real_peak == reported <= budget
 
 
 def test_process_fanout_matches_sequential():
@@ -246,10 +289,20 @@ def test_warm_context_memoizes_the_shard_piece():
     other = ctx.sharded_tables("degeneracy", memory_budget_bytes=8192)
     assert first is again
     assert other is not first
-    # A closed piece is rebuilt on the next request, not served dead.
-    first.close()
-    rebuilt = ctx.sharded_tables("degeneracy", memory_budget_bytes=4096)
-    assert rebuilt is not first and not rebuilt.closed
+
+
+def test_approx_bytes_counts_the_resident_shard_blocks():
+    g = gnm_random_graph(80, 500, seed=5)
+    ctx = PreparedGraph(g)
+    budget = 4096
+    sharded_count_cliques(g, 5, memory_budget_bytes=budget, prepared=ctx)
+    plan = ctx.sharded_tables("degeneracy", memory_budget_bytes=budget)
+    resident = plan.resident_bytes()
+    assert 0 < resident <= budget
+    with_blocks = ctx.approx_bytes()
+    plan.evict_all()
+    assert plan.resident_bytes() == 0
+    assert with_blocks - ctx.approx_bytes() == resident
 
 
 # -- the acceptance property: tables >= 10x budget, window enforced --------
@@ -284,50 +337,34 @@ def test_counts_graph_ten_times_bigger_than_budget():
     ).resident_bytes() <= budget
 
 
-# -- spill lifecycle -------------------------------------------------------
+# -- no scratch files ------------------------------------------------------
 
 
-def _spilled_entries(root):
-    return [e for e in os.listdir(root) if e.startswith("repro-shard-")]
+def _raise(exc):
+    def drive(*args, **kwargs):
+        raise exc
+
+    return drive
 
 
-def test_spill_cleanup_on_success(tmp_path):
-    g = gnm_random_graph(40, 160, seed=3)
-    got = sharded_count_cliques(
-        g, 4, memory_budget_bytes=256, spill_root=str(tmp_path)
-    )
-    assert got == frontier_count_cliques(g, 4)
-    assert _spilled_entries(tmp_path) == []
-
-
-def test_spill_cleanup_on_error(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "failure",
+    [None, RuntimeError("injected failure"), KeyboardInterrupt()],
+    ids=["success", "error", "interrupt"],
+)
+def test_budgeted_count_writes_no_files(tmp_path, monkeypatch, failure):
     import repro.core.frontier as frontier_mod
 
-    def boom(*args, **kwargs):
-        raise RuntimeError("injected failure")
-
-    monkeypatch.setattr(frontier_mod, "_drive", boom)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     g = gnm_random_graph(40, 160, seed=3)
-    with pytest.raises(RuntimeError, match="injected failure"):
-        sharded_count_cliques(
-            g, 4, memory_budget_bytes=256, spill_root=str(tmp_path)
-        )
-    assert _spilled_entries(tmp_path) == []
-
-
-def test_spill_cleanup_on_keyboard_interrupt(tmp_path, monkeypatch):
-    import repro.core.frontier as frontier_mod
-
-    def interrupt(*args, **kwargs):
-        raise KeyboardInterrupt()
-
-    monkeypatch.setattr(frontier_mod, "_drive", interrupt)
-    g = gnm_random_graph(40, 160, seed=3)
-    with pytest.raises(KeyboardInterrupt):
-        sharded_count_cliques(
-            g, 4, memory_budget_bytes=256, spill_root=str(tmp_path)
-        )
-    assert _spilled_entries(tmp_path) == []
+    expected = frontier_count_cliques(g, 4)
+    if failure is None:
+        assert sharded_count_cliques(g, 4, memory_budget_bytes=256) == expected
+    else:
+        monkeypatch.setattr(frontier_mod, "_drive", _raise(failure))
+        with pytest.raises(type(failure)):
+            sharded_count_cliques(g, 4, memory_budget_bytes=256)
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- dispatch: the memory-aware resolve_engine leg -------------------------

@@ -19,6 +19,7 @@ from repro.core.frontier import (
     execute,
     frontier_count_cliques,
     frontier_list_cliques,
+    source_row_starts,
 )
 from repro.core.parallel import count_cliques_parallel
 from repro.core.prepared import PreparedGraph
@@ -108,7 +109,8 @@ class TestEmptyEligibleSlices:
         ctx = PreparedGraph(g)
         tables = ctx.frontier_tables()
         empty = np.empty(0, dtype=np.int64)
-        base, masks = tables.base[empty], tables.rows_in[empty]
+        base = source_row_starts(ctx.dag(), empty)
+        masks = tables.rows_in[empty]
         for c in (0, 1, 2, 5):
             assert _drive(tables, base, masks, c, prune=True)[0] == 0
             assert _drive(tables, base, masks, c, prune=False)[0] == 0

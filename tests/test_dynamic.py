@@ -240,7 +240,7 @@ class TestPatchInPlace:
             dyn.prepared.sharded_tables(memory_budget_bytes=budget)
         dyn.delete_edges([next(iter(g.edges()))])
         for budget in (None, 4096):
-            key = f"sharded_tables/('degeneracy', {budget}, 2)"
+            key = f"sharded_tables/('degeneracy', {budget})"
             assert dyn.last_report.detail[key] == "invalidated"
 
     def test_patched_triangles_match_a_cold_rebuild(self):
