@@ -16,10 +16,11 @@
   layer, maintaining counts incrementally; ``--verify`` gates every
   batch with the dynamic-vs-scratch oracle (exit 5 on divergence);
 * ``profile <graph> -k K`` — span tree + hot-loop metrics of one run;
-* ``selfcheck`` — fuzz every engine against each other + the oracle;
 * ``fuzz --budget N --seed S [--oracle NAME] [--emit-regression [DIR]]``
   — the differential/metamorphic fuzzing subsystem: replayable seeded
-  cases, cross-engine + metamorphic oracles (``service-versions`` checks
+  cases, cross-engine + metamorphic oracles (``variants`` holds every
+  Table-1 variant, cold and warm, and the baselines to the reference
+  count; ``service-versions`` checks
   every query-service answer under concurrent mutation against the graph
   version it reports), delta-debugging shrinker, auto-emitted pytest
   regressions (exit 4 on any violation; see docs/FUZZING.md);
@@ -103,6 +104,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"limit must be >= 0, got {args.limit}")
     g = _load_graph(args.graph)
     cliques = list_cliques(
         g,
@@ -406,16 +409,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     else:
         print(format_text(findings, grandfathered))
     return 1 if findings else 0
-
-
-def _cmd_selfcheck(args: argparse.Namespace) -> int:
-    from .validation import self_check
-
-    report = self_check(
-        trials=args.trials, seed=args.seed, verbose=args.verbose
-    )
-    print(report.summary())
-    return 0 if report.ok else 2
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -778,12 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("selfcheck", help="cross-validate all engines on random graphs")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=_cmd_selfcheck)
-
     p = sub.add_parser(
         "fuzz",
         help="differential + metamorphic fuzzing of every engine "
@@ -815,7 +802,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="stop drawing new cases after this many seconds",
+        help="stop drawing new cases after this many seconds (> 0; the "
+        "first case always runs)",
     )
     p.add_argument(
         "--no-shrink",

@@ -10,7 +10,6 @@ from .densest import (
 )
 from .existence import clique_spectrum, find_clique, max_clique_size
 from .motifs import count_cliques_triangle_growing
-from .parallel import count_cliques_parallel
 from .peeling import PeelResult, kclique_peel
 from .prepared import (
     PreparedCache,
@@ -19,7 +18,6 @@ from .prepared import (
     prepare,
     prepared_cache_info,
 )
-from .sampling import CliqueEstimate, estimate_clique_count
 from .recursive import SearchStats, recursive_count
 from .sharded import (
     ShardPlan,
@@ -54,14 +52,11 @@ __all__ = [
     "max_clique_size",
     "clique_spectrum",
     "count_cliques_triangle_growing",
-    "count_cliques_parallel",
     "per_vertex_clique_counts",
     "kclique_densest_subgraph",
     "DensestResult",
     "kclique_peel",
     "PeelResult",
-    "estimate_clique_count",
-    "CliqueEstimate",
     "sharded_count_cliques",
     "sharded_list_cliques",
     "parse_memory_size",

@@ -621,7 +621,7 @@ def frontier_count_cliques(
     """Count k-cliques over the in-RAM tables.
 
     Bit-identical to the reference engine (asserted across the test suite
-    and ``repro selfcheck``). ``tracker`` is charged for preprocessing
+    and the ``repro fuzz`` oracles). ``tracker`` is charged for preprocessing
     built on a miss; the frontier advance itself is untracked (its cost
     model is the reference engine's — this engine exists to make the same
     computation fast).

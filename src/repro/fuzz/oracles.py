@@ -4,10 +4,13 @@ Each oracle is a pure function ``(graph, k, rng) -> list of violation
 messages`` (empty list = the property holds). Two kinds:
 
 * **Differential** — every engine configuration (reference recursion,
-  frontier cold / warm-prepared / kernelized, the sharded plan, the
-  process fan-outs with ``workers > 1``, the ``auto`` façade) must agree on
-  counts, canonical listings, and existence witnesses — and, on small
-  instances, with the brute-force oracle. ``service-versions`` holds the
+  the six Table-1 variants cold and warm, the triangle-growing extension
+  and the arbcount / Chiba–Nishizeki baselines, frontier cold /
+  warm-prepared / kernelized, the sharded plan, the process fan-out
+  with ``workers > 1``, the ``auto`` façade, which must also resolve to
+  the frontier engine for k ≥ 4) must agree on counts, canonical
+  listings, and existence witnesses — and, on small instances, with the
+  brute-force oracle. ``service-versions`` holds the
   query service to the same standard: every answer it gives while
   mutations race the queries equals a cold reference recount of the
   graph version the reply reports.
@@ -39,15 +42,17 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..baselines.arbcount import arbcount_count
 from ..baselines.bruteforce import brute_force_count, brute_force_list
+from ..baselines.chiba_nishizeki import chiba_nishizeki_count
 from ..baselines.kclist import kclist_count
 from ..core.api import count_cliques, list_cliques
 from ..core.existence import clique_spectrum, find_clique
 from ..core.frontier import frontier_count_cliques, frontier_list_cliques
-from ..core.parallel import count_cliques_parallel
+from ..core.motifs import count_cliques_triangle_growing
 from ..core.prepared import PreparedGraph
 from ..core.sharded import sharded_count_cliques, sharded_list_cliques
-from ..core.variants import run_variant
+from ..core.variants import VARIANTS, run_variant
 from ..dynamic import DynamicGraph, random_trace
 from ..graphs.builder import complete_graph
 from ..graphs.csr import CSRGraph
@@ -110,8 +115,9 @@ def oracle_engines(
     The matrix is the fast-path/slow-path split where silent divergence
     bugs live: cold vs warm-prepared contexts, kernelized dispatch, the
     out-of-core sharded streamer (unlimited budget plus an rng-drawn
-    tiny one), and the independent kClist baseline — plus brute force on
-    small instances.
+    tiny one), the ``auto`` façade, and the independent kClist baseline —
+    plus brute force on small instances. For k ≥ 4 the ``auto`` leg must
+    also have resolved to the frontier engine.
     """
     counts: Dict[str, int] = {}
     counts["reference"] = _observed(
@@ -131,7 +137,8 @@ def oracle_engines(
         k,
         count_cliques(graph, k, engine="frontier", kernelize=True).count,
     )
-    counts["auto"] = _observed("auto", graph, k, count_cliques(graph, k).count)
+    auto = count_cliques(graph, k)
+    counts["auto"] = _observed("auto", graph, k, auto.count)
     counts["sharded"] = _observed(
         "sharded", graph, k, sharded_count_cliques(graph, k)
     )
@@ -149,27 +156,80 @@ def oracle_engines(
     counts["kclist"] = _observed("kclist", graph, k, kclist_count(graph, k).count)
     if graph.num_vertices <= BRUTE_FORCE_LIMIT:
         counts["brute-force"] = brute_force_count(graph, k)
+    violations: List[str] = []
     if len(set(counts.values())) > 1:
         detail = ", ".join(f"{name}={counts[name]}" for name in sorted(counts))
-        return [f"engines disagree on the {k}-clique count: {detail}"]
-    return []
+        violations.append(f"engines disagree on the {k}-clique count: {detail}")
+    # Default dispatch is the paper regime; for k >= 4 it must resolve to
+    # the frontier engine. A fallback to a slower engine is a dispatch
+    # regression even when the counts agree.
+    if k >= 4 and auto.engine != "frontier":
+        violations.append(
+            f"auto dispatch resolved to {auto.engine!r} for k={k}; "
+            f"expected 'frontier' ({auto.engine_reason})"
+        )
+    return violations
+
+
+def oracle_variants(
+    graph: CSRGraph, k: int, rng: np.random.Generator
+) -> List[str]:
+    """Every Table-1 variant, cold and warm, matches the reference count.
+
+    Cold runs build a private context. Warm runs are the second query on
+    one :class:`PreparedGraph` shared by all six variants, so a stale or
+    cross-wired cached piece shows up as a mismatch. The triangle-growing
+    extension and the arbcount and Chiba–Nishizeki baselines join the
+    comparison, and brute force checks the reference on small instances.
+    """
+    del rng
+    # The reference *is* the cold best-work run; observing it under both
+    # names lets the perturbation hook make either one lie.
+    cold = {v: run_variant(graph, k, v, Tracker()).count for v in VARIANTS}
+    expected = _observed("reference", graph, k, cold["best-work"])
+    ctx = PreparedGraph(graph)
+    for v in VARIANTS:  # the first queries fill the shared context
+        run_variant(graph, k, v, Tracker(), prepared=ctx)
+    raw = {f"variant:{v}": c for v, c in cold.items()}
+    for v in VARIANTS:
+        raw[f"variant:{v}:warm"] = run_variant(
+            graph, k, v, Tracker(), prepared=ctx
+        ).count
+    raw["triangle-growing"] = count_cliques_triangle_growing(graph, k).count
+    raw["arbcount"] = arbcount_count(graph, k).count
+    raw["chiba-nishizeki"] = chiba_nishizeki_count(graph, k).count
+    counts = {name: _observed(name, graph, k, c) for name, c in raw.items()}
+    violations: List[str] = []
+    wrong = {name: c for name, c in counts.items() if c != expected}
+    if wrong:
+        detail = ", ".join(f"{name}={wrong[name]}" for name in sorted(wrong))
+        violations.append(
+            f"variants disagree with the reference {k}-clique count "
+            f"{expected}: {detail}"
+        )
+    if graph.num_vertices <= BRUTE_FORCE_LIMIT:
+        brute = brute_force_count(graph, k)
+        if brute != expected:
+            violations.append(
+                f"reference counted {expected} {k}-cliques, brute force "
+                f"counted {brute}"
+            )
+    return violations
 
 
 def oracle_process(
     graph: CSRGraph, k: int, rng: np.random.Generator
 ) -> List[str]:
-    """Both process fan-outs (``workers=2``) match the reference count.
+    """The frontier executor's process fan-out matches the reference.
 
-    The reference recursion on processes, and the frontier executor's
-    plan units on processes: one resident shard, and many budgeted shards
-    under a 1-byte budget.
+    The plan units run on two processes (``workers=2``) over one resident
+    shard, and over many budgeted shards under a 1-byte budget.
     """
     del rng
     expected = _observed(
         "reference", graph, k, run_variant(graph, k, "best-work", Tracker()).count
     )
     counts = {
-        "process": count_cliques_parallel(graph, k, n_workers=2),
         "frontier": count_cliques(graph, k, engine="frontier", workers=2).count,
         "sharded": sharded_count_cliques(
             graph, k, memory_budget_bytes=1, workers=2
@@ -696,6 +756,7 @@ def oracle_service_versions(
 ORACLES: Dict[str, Callable[[CSRGraph, int, np.random.Generator], List[str]]] = {
     "engines": oracle_engines,
     "process": oracle_process,
+    "variants": oracle_variants,
     "listings": oracle_listings,
     "witness": oracle_witness,
     "relabel": oracle_relabel,

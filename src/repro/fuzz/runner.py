@@ -193,14 +193,17 @@ def run_fuzz(
     """Run a fuzz campaign of ``budget`` cases; deterministic under ``seed``.
 
     ``oracles`` restricts the suite (default: all of
-    :data:`repro.fuzz.oracles.ORACLES`); ``time_limit`` (seconds) stops
-    drawing new cases early without breaking replayability — a longer
-    run with the same seed visits a superset of the same cases. Failures
-    are bucketed by ``(oracle, k)``; only the first case of each bucket
-    is shrunk/emitted, later ones are counted.
+    :data:`repro.fuzz.oracles.ORACLES`); ``time_limit`` (seconds, > 0)
+    stops drawing new cases early without breaking replayability — a
+    longer run with the same seed visits a superset of the same cases.
+    The limit is checked between cases, so every campaign runs at least
+    one case. Failures are bucketed by ``(oracle, k)``; only the first
+    case of each bucket is shrunk/emitted, later ones are counted.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if time_limit is not None and time_limit <= 0:
+        raise ValueError(f"time_limit must be > 0, got {time_limit}")
     chosen = tuple(sorted(ORACLES) if oracles is None else oracles)
     for name in chosen:
         if name not in ORACLES:
@@ -220,7 +223,11 @@ def run_fuzz(
     started = time.perf_counter()
 
     for index in range(budget):
-        if time_limit is not None and time.perf_counter() - started > time_limit:
+        if (
+            index > 0
+            and time_limit is not None
+            and time.perf_counter() - started > time_limit
+        ):
             break
         spec = sample_case(rng, max_vertices=max_vertices)
         case_started = time.perf_counter()

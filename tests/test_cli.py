@@ -104,6 +104,14 @@ class TestList:
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) <= 2
 
+    def test_negative_limit_is_an_error(self, edge_file, capsys):
+        # Same message the service's bad-request carries; no listing runs.
+        path, _ = edge_file
+        assert main(["list", path, "-k", "4", "--limit", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "limit must be >= 0, got -1" in captured.err
+
     def test_list_frontier_engine_matches_reference(self, edge_file, capsys):
         path, _ = edge_file
         assert main(["list", path, "-k", "4"]) == 0

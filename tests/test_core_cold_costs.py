@@ -16,7 +16,6 @@ from repro.bench.datasets import load_dataset
 from repro.core.densest import per_vertex_clique_counts
 from repro.core.existence import clique_spectrum, find_clique, max_clique_size
 from repro.core.motifs import count_cliques_triangle_growing
-from repro.core.sampling import estimate_clique_count
 from repro.core.variants import run_variant
 from repro.pram.tracker import Tracker
 
@@ -125,13 +124,6 @@ TOTALS = {
         lambda g, t: count_cliques_triangle_growing(g, 5, tracker=t).count,
         7536,
         (415920, 1285),
-    ),
-    "estimate_clique_count": (
-        lambda g, t: estimate_clique_count(
-            g, 5, samples=50, seed=7, tracker=t
-        ).estimate,
-        pytest.approx(9201.147428571428),
-        (299890, 1265),
     ),
 }
 

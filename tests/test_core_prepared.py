@@ -25,7 +25,6 @@ from repro import (
 )
 from repro.core import (
     clique_spectrum,
-    count_cliques_parallel,
     find_clique,
     max_clique_size,
     per_vertex_clique_counts,
@@ -118,7 +117,6 @@ class TestWarmEqualsCold:
     def test_every_engine_agrees_on_a_shared_context(self, g, k):
         ctx = PreparedGraph(g)
         cold = run_variant(g, k, "best-work", Tracker()).count
-        assert count_cliques_parallel(g, k, n_workers=1, prepared=ctx) == cold
         for engine in ENGINES:
             assert count_cliques(g, k, engine=engine, prepared=ctx).count == cold
         assert (find_clique(g, k, prepared=ctx) is not None) == (cold > 0)
@@ -182,8 +180,6 @@ class TestWarmEqualsCold:
             count_cliques(g, 4, prepared=ctx)
         with pytest.raises(ValueError):
             find_clique(g, 4, prepared=ctx)
-        with pytest.raises(ValueError):
-            count_cliques_parallel(g, 4, n_workers=1, prepared=ctx)
         with pytest.raises(ValueError):
             per_vertex_clique_counts(g, 4, prepared=ctx)
 

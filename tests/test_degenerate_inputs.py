@@ -21,7 +21,6 @@ from repro.core.frontier import (
     frontier_list_cliques,
     source_row_starts,
 )
-from repro.core.parallel import count_cliques_parallel
 from repro.core.prepared import PreparedGraph
 from repro.core.variants import run_variant
 from repro.dynamic import DynamicGraph, cliques_through_edges
@@ -53,7 +52,9 @@ ENGINES = {
     "frontier-warm": lambda g, k: frontier_count_cliques(
         g, k, prepared=PreparedGraph(g)
     ),
-    "process": lambda g, k: count_cliques_parallel(g, k, n_workers=2),
+    "process": lambda g, k: count_cliques(
+        g, k, engine="frontier", workers=2
+    ).count,
     "auto": lambda g, k: count_cliques(g, k).count,
     "kernelized": lambda g, k: count_cliques(
         g, k, engine="frontier", kernelize=True

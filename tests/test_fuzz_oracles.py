@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.variants import VARIANTS
 from repro.fuzz.oracles import (
     ORACLES,
     count_perturbation,
@@ -87,11 +88,52 @@ class TestPerturbationHook:
 
     def test_perturbing_reference_is_caught_by_process_oracle(self):
         def lie(engine, graph, k, true_count):
-            return true_count + 2 if engine == "process" else true_count
+            return true_count + 2 if engine == "reference" else true_count
 
         with count_perturbation(lie):
             msgs = run_oracle("process", complete_graph(5), 4)
         assert msgs and "workers=2" in msgs[0]
+
+
+# Every leg of the ``variants`` oracle, plus the ``auto`` leg of ``engines``.
+LEGS = [
+    ("variants", name)
+    for v in VARIANTS
+    for name in (f"variant:{v}", f"variant:{v}:warm")
+] + [
+    ("variants", "triangle-growing"),
+    ("variants", "arbcount"),
+    ("variants", "chiba-nishizeki"),
+    ("engines", "auto"),
+]
+
+
+class TestEveryLegIsWired:
+    """A lie on any single leg surfaces, so no leg is silently unchecked."""
+
+    @pytest.mark.parametrize(
+        "oracle, leg", LEGS, ids=[f"{o}-{leg}" for o, leg in LEGS]
+    )
+    def test_one_lying_leg_is_caught(self, oracle, leg):
+        def lie(engine, graph, k, true_count):
+            return true_count + 1 if engine == leg else true_count
+
+        g = complete_graph(6)  # C(6, 4) = 15 four-cliques
+        with count_perturbation(lie):
+            msgs = run_oracle(oracle, g, 4)
+        assert msgs and f"{leg}=16" in msgs[0]
+
+    def test_auto_dispatch_pin(self, monkeypatch):
+        import repro.core.api as api
+
+        def not_frontier(*args, **kwargs):
+            return api.EngineDecision("reference", "pinned away for the test")
+
+        monkeypatch.setattr(api, "resolve_engine", not_frontier)
+        msgs = run_oracle("engines", complete_graph(6), 4)
+        # The counts still agree; only the dispatch pin fires.
+        assert len(msgs) == 1
+        assert "auto dispatch resolved to 'reference'" in msgs[0]
 
 
 class TestMetamorphicEdgeCases:

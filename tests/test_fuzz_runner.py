@@ -41,9 +41,10 @@ class TestCleanCampaign:
     def test_default_oracles_and_ks(self):
         report = run_fuzz(budget=1, seed=0, max_vertices=10)
         assert report.ks == DEFAULT_KS
-        assert len(report.oracles) == 11
+        assert len(report.oracles) == 12
         assert "dynamic-vs-scratch" in report.oracles
         assert "service-versions" in report.oracles
+        assert "variants" in report.oracles
 
     def test_metrics_are_populated(self):
         metrics = MetricsRegistry()
@@ -56,8 +57,17 @@ class TestCleanCampaign:
         assert doc["fuzz.case_vertices"]["count"] == 4
 
     def test_time_limit_stops_early(self):
-        report = _small_run(budget=10_000, time_limit=0.0)
-        assert report.cases < 10_000
+        # The limit is checked between cases: an already-spent limit
+        # still runs (and checks) exactly one case.
+        report = _small_run(budget=10_000, time_limit=1e-9)
+        assert report.cases == 1
+        assert report.checks == 1
+        assert report.ok
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_non_positive_time_limit_rejected(self, limit):
+        with pytest.raises(ValueError, match="time_limit must be > 0"):
+            _small_run(time_limit=limit)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError, match="budget"):

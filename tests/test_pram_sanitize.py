@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.parallel import count_cliques_parallel
+from repro.core.api import count_cliques
 from repro.graphs.generators import clique_chain
 from repro.pram.executor import parallel_map_reduce
 from repro.pram.sanitize import CREWViolation, ShadowArray, _normalize_indices
@@ -215,8 +215,10 @@ def test_executor_sanitize_passes_disjoint_writes():
     assert shared.base == [1] * 16
 
 
-def test_count_cliques_parallel_is_crew_clean():
+def test_frontier_fanout_is_crew_clean():
     g = clique_chain(3, 6)
-    expected = count_cliques_parallel(g, 4, n_workers=1)
-    got = count_cliques_parallel(g, 4, n_workers=4, tracker=Tracker(sanitize=True))
-    assert got == expected
+    expected = count_cliques(g, 4, engine="frontier").count
+    got = count_cliques(
+        g, 4, engine="frontier", workers=4, tracker=Tracker(sanitize=True)
+    ).count
+    assert got == expected == 45

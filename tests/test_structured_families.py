@@ -1,10 +1,10 @@
 """Cross-engine agreement on structured graph families.
 
-G(n, m) fuzzing (test_property_counting, validation.self_check) misses
-regimes that structured families hit deliberately: triangle-free but
-dense (hypercube), clique-free but dense (Turán), overlapping windows
-(banded), heavy overlap (clique chains), σ ≪ s (bipartite+line), and
-modular structures. Every engine must agree with the oracle on all of
+G(n, m) fuzzing (test_property_counting) misses regimes that structured
+families hit deliberately: triangle-free but dense (hypercube),
+clique-free but dense (Turán), overlapping windows (banded), heavy
+overlap (clique chains), σ ≪ s (bipartite+line), and modular
+structures. Every engine must agree with the oracle on all of
 them for every k.
 """
 
