@@ -70,7 +70,9 @@ demand through a bounded window. The executor owns the k ≤ 3 closed
 forms, drives each shard's eligible edges once for canonical listings
 (and its eligible edges with an incomplete community for counts), and
 with ``workers > 1`` fans contiguous chunks of eligible edges, weighted by
-community size, out over processes.
+community size, out over processes. Eligibility and weights come from the
+plan: the resident plan reads them as the row popcounts of ``rows_in``
+(:attr:`FrontierTables.sizes`), so it never builds the edge communities.
 
 The search itself is untracked — a tracker passed to the entry points
 only accounts the shared preprocessing — but the frontier shape is
@@ -101,6 +103,7 @@ from .prepared import PreparedGraph, prepared_for
 __all__ = [
     "FrontierTables",
     "build_frontier_tables",
+    "patch_frontier_tables",
     "scatter_triangles",
     "complete_flags",
     "source_row_starts",
@@ -135,7 +138,7 @@ class FrontierTables:
     silently corrupting every sibling worker.
     """
 
-    __slots__ = ("rows", "rows_in", "complete", "width")
+    __slots__ = ("rows", "rows_in", "complete", "width", "_sizes")
 
     def __init__(
         self,
@@ -148,6 +151,28 @@ class FrontierTables:
         self.rows_in = rows_in
         self.complete = complete
         self.width = width
+        self._sizes: Optional[np.ndarray] = None
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """|C(e)| of every row: ``popcount_rows(rows_in)``, memoized.
+
+        Equal to the edge communities' sizes, so the frontier path never
+        needs the communities themselves. Computed on first use only, so
+        a shard block that is never asked holds no extra bytes.
+        """
+        sizes = self._sizes
+        if sizes is None:
+            sizes = popcount_rows(self.rows_in)
+            sizes.setflags(write=False)
+            self._sizes = sizes
+        return sizes
+
+    @property
+    def max_size(self) -> int:
+        """γ — the largest community size."""
+        sizes = self.sizes
+        return int(sizes.max()) if sizes.size else 0
 
 
 def build_frontier_tables(
@@ -171,10 +196,83 @@ def build_frontier_tables(
     rows_in = np.zeros((m, width), dtype=np.uint64)
     e_uw, e_uv = scatter_triangles(dag, triangles, rows, rows_in)
     complete = complete_flags(rows, rows_in, e_uw, e_uv)
+    return _sealed(rows, rows_in, complete, width)
+
+
+def _sealed(
+    rows: np.ndarray, rows_in: np.ndarray, complete: np.ndarray, width: int
+) -> FrontierTables:
     rows.setflags(write=False)
     rows_in.setflags(write=False)
     complete.setflags(write=False)
     return FrontierTables(rows, rows_in, complete, width)
+
+
+def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(starts[i], ends[i])`` over all i."""
+    lens = ends - starts
+    first = np.cumsum(lens) - lens
+    return np.repeat(starts - first, lens) + np.arange(int(lens.sum()))
+
+
+def patch_frontier_tables(
+    old: FrontierTables,
+    old_dag: OrientedDAG,
+    dag: OrientedDAG,
+    triangles: np.ndarray,
+    op: str,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    touched: np.ndarray,
+) -> FrontierTables:
+    """The tables of ``dag`` patched from ``old``, the tables of ``old_dag``.
+
+    ``dag`` is ``old_dag`` with the DAG edges ``(lo[i], hi[i])`` (rank
+    ids, lower first) inserted or deleted under ``op``, ``triangles`` its
+    sorted triangle rows, and ``touched`` every source whose rows can
+    differ: the lower endpoint of each batch edge (its universe N⁺(u)
+    changed, so its renames did) and the first vertex of each triangle
+    through a batch edge (a local edge of its universe appeared or went).
+    Every other source keeps its rows, ``rows_in`` and ``complete``
+    byte for byte; they only move by the edge-id shift, one
+    ``np.insert``/``np.delete`` of the batch slots per array. The touched
+    sources' rows are cleared, their slice of ``triangles`` re-scattered
+    (:func:`scatter_triangles`) and their completeness flags recomputed.
+    A change of the word width W falls back to
+    :func:`build_frontier_tables`. With T' triangles and m' edges of the
+    touched sources:
+
+    Work: O(m·W + T' log m + (m' + T')·W)
+    Depth: O(log m)
+    """
+    width = (dag.max_out_degree + 63) // 64
+    if width != old.width:
+        return build_frontier_tables(dag, triangles)
+    if op == "insert":
+        slots = np.sort(dag.present_edge_ids(lo, hi))
+        slots -= np.arange(slots.size)
+        rows = np.insert(old.rows, slots, 0, axis=0)
+        rows_in = np.insert(old.rows_in, slots, 0, axis=0)
+        complete = np.insert(old.complete, slots, False)
+    else:
+        slots = old_dag.present_edge_ids(lo, hi)
+        rows = np.delete(old.rows, slots, axis=0)
+        rows_in = np.delete(old.rows_in, slots, axis=0)
+        complete = np.delete(old.complete, slots)
+    touched = np.unique(touched)
+    edges = _ranges(dag.out_indptr[touched], dag.out_indptr[touched + 1])
+    rows[edges] = 0
+    rows_in[edges] = 0
+    first = triangles[:, 0]
+    tri = triangles[
+        _ranges(
+            np.searchsorted(first, touched, side="left"),
+            np.searchsorted(first, touched, side="right"),
+        )
+    ]
+    e_uw, e_uv = scatter_triangles(dag, tri, rows, rows_in)
+    complete[edges] = complete_flags(rows, rows_in, e_uw, e_uv, edges)
+    return _sealed(rows, rows_in, complete, width)
 
 
 def source_row_starts(dag: OrientedDAG, edges: np.ndarray) -> np.ndarray:
@@ -222,6 +320,7 @@ def complete_flags(
     rows_in: np.ndarray,
     e_uw: np.ndarray,
     e_uv: np.ndarray,
+    edges: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Per table row: does the community induce a complete DAG subgraph?
 
@@ -230,7 +329,9 @@ def complete_flags(
     summing over the triangles ``(u, w, v)`` of ``e = (u, v)`` (the
     rows :func:`scatter_triangles` returns) counts the edges of
     DAG[C(e)]; it is complete when that equals ``p(p−1)/2`` with
-    ``p = |C(e)|``. With T triangles, m rows and W words per row:
+    ``p = |C(e)|``. ``edges`` restricts the answer to those rows, whose
+    triangles must all be among the given ones. With T triangles, m
+    rows and W words per row:
 
     Work: O(m·W + T·W)
     Depth: O(log T)
@@ -240,6 +341,9 @@ def complete_flags(
     inner = np.bincount(
         e_uv, weights=popcount_rows(inside), minlength=rows.shape[0]
     ).astype(np.int64)
+    if edges is not None:
+        inner = inner[edges]
+        rows_in = rows_in[edges]
     p = popcount_rows(rows_in)
     return 2 * inner == p * (p - 1)
 
@@ -378,6 +482,10 @@ class _Resident:
 
     def block(self, index: int, metrics: Any = None) -> FrontierTables:
         return self.tables
+
+    def community_sizes(self, ctx: PreparedGraph, tracker: Tracker) -> np.ndarray:
+        """|C(e)| of every edge, from the tables (no communities built)."""
+        return self.tables.sizes
 
     def evict_all(self) -> None:
         pass
@@ -563,25 +671,27 @@ def execute(
         return graph.num_edges, _canonical(np.stack([us, vs], axis=1))
     ctx = prepared_for(graph, prepared)
     dag = ctx.dag("degeneracy", tracker)
-    if k == 3 and listing:
-        tri = ctx.triangles("degeneracy", tracker)
-        return int(tri.shape[0]), _canonical(dag.original_ids[tri])
-    comms = ctx.communities("degeneracy", tracker)
     if k == 3:
-        return comms.num_triangles, None
-    eligible = np.flatnonzero(comms.sizes >= (k - 2))
-    if eligible.size == 0:
-        return 0, [] if listing else None
-    prefixes = None
-    if listing:
-        us, vs = dag.edge_endpoints()
-        prefixes = np.stack([us[eligible], vs[eligible]], axis=1).astype(np.int64)
+        tri = ctx.triangles("degeneracy", tracker)
+        if not listing:
+            return int(tri.shape[0]), None
+        return int(tri.shape[0]), _canonical(dag.original_ids[tri])
     metrics = tracker.metrics
     with open_plan(ctx, tracker) as source:
+        sizes = source.community_sizes(ctx, tracker)
+        eligible = np.flatnonzero(sizes >= (k - 2))
+        if eligible.size == 0:
+            return 0, [] if listing else None
+        prefixes = None
+        if listing:
+            us, vs = dag.edge_endpoints()
+            prefixes = np.stack([us[eligible], vs[eligible]], axis=1).astype(
+                np.int64
+            )
         if metrics is not None and source.sharded:
             metrics.gauge("shard.count").set(source.edge_bounds.size - 1)
         bounds = np.searchsorted(eligible, source.edge_bounds)
-        sizes = comms.sizes[eligible]
+        sizes = sizes[eligible]
         state = (source, dag, eligible, sizes, bounds, prefixes)
         if workers is not None and workers > 1:
             got = parallel_map_reduce(

@@ -502,10 +502,29 @@ class PreparedGraph:
         """The degeneracy s (via the exact order)."""
         return int(self.order_result("degeneracy", tracker).degeneracy)
 
+    def known_gamma(self, variant: str = "degeneracy") -> Optional[int]:
+        """γ if a built piece holds it, else ``None`` (never builds).
+
+        The frontier tables hold every community size as a row popcount,
+        so a context that has them never needs the communities for γ.
+        """
+        tables = self.peek("frontier_tables", variant)
+        if tables is not None:
+            return tables.max_size
+        comms = self.peek("communities", variant)
+        return None if comms is None else comms.max_size
+
     def gamma(
         self, variant: str = "degeneracy", tracker: Tracker = NULL_TRACKER
     ) -> int:
-        """γ — the largest community size under the chosen order."""
+        """γ — the largest community size under the chosen order.
+
+        Read from the frontier tables or the communities, whichever is
+        built; only a context with neither builds the communities.
+        """
+        known = self.known_gamma(variant)
+        if known is not None:
+            return known
         return self.communities(variant, tracker).max_size
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -295,6 +295,14 @@ class ShardedTables:
         with self._lock:
             return sum(self.plan.table_bytes(i) for i in self._blocks)
 
+    def community_sizes(self, ctx: Any, tracker: Any) -> np.ndarray:
+        """|C(e)| of every edge, from the context's edge communities.
+
+        The blocks are built on demand, so their ``sizes`` cannot serve
+        the whole graph's eligibility up front.
+        """
+        return ctx.communities("degeneracy", tracker).sizes
+
     def evict_all(self) -> None:
         with self._lock:
             self._blocks.clear()

@@ -23,12 +23,14 @@ workload that disagrees with its own edge bookkeeping is a bug worth
 surfacing, not papering over.
 
 With ``verify=True`` every batch is gated by the dynamic-vs-scratch
-differential oracle: the incrementally maintained counts (and listings,
-where tracked) are compared against a cold recompute on the new
-snapshot *and* against a query through the patched context; any
-disagreement raises :class:`VerificationError` naming the first
-divergent k. The fuzz oracle (``dynamic-vs-scratch``) and the ``repro
-mutate --verify`` CLI run in this mode.
+differential oracle: the patched DAG, triangle rows and frontier tables
+must be array-equal to a rebuild on the new snapshot under the carried
+order, and the incrementally maintained counts (and listings, where
+tracked) are compared against a cold recompute on the new snapshot
+*and* against a query through the patched context; any disagreement
+raises :class:`VerificationError` naming the first divergent piece or
+k. The fuzz oracle (``dynamic-vs-scratch``) and the ``repro mutate
+--verify`` CLI run in this mode.
 
 Every applied batch is appended to a replayable trace
 (:meth:`DynamicGraph.trace`, :func:`replay_trace`), and
@@ -38,18 +40,22 @@ Every applied batch is appended to a replayable trace
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.api import count_cliques, list_cliques
+from ..core.frontier import build_frontier_tables
 from ..core.prepared import (
+    ORDER_VARIANTS,
     PreparedCache,
     PreparedGraph,
     adopt_prepared,
     invalidate_prepared,
 )
 from ..graphs.csr import CSRGraph
+from ..graphs.digraph import orient_by_order
+from ..triangles.count import list_triangles
 from ..pram.tracker import NULL_TRACKER, Tracker
 from .delta import count_delta
 from .patch import PatchReport, patch_prepared
@@ -64,6 +70,18 @@ __all__ = [
 ]
 
 Pair = Tuple[int, int]
+
+
+def _piece_arrays(kind: str, piece: Any) -> Dict[str, np.ndarray]:
+    """The arrays the verify gate compares of one patched piece, by name."""
+    if kind == "triangles":
+        return {"": piece}
+    names = (
+        ("out_indptr", "out_indices", "in_indptr", "in_indices", "original_ids")
+        if kind == "dag"
+        else ("rows", "rows_in", "complete")
+    )
+    return {f".{name}": getattr(piece, name) for name in names}
 
 
 class MutationError(ValueError):
@@ -343,10 +361,41 @@ class DynamicGraph:
 
     # -- differential gate ---------------------------------------------------
 
+    def _check_pieces_against_rebuild(self, where: str) -> None:
+        """Patched DAG, triangles and tables equal a rebuild, array by array.
+
+        The rebuild orients the new snapshot by the *carried* order (a
+        fresh context would pick another order, and with it other
+        arrays), then lists its triangles and builds its tables.
+        """
+        ctx = self._prepared
+        for variant in ORDER_VARIANTS:
+            order = ctx.peek("order", variant)
+            if order is None:
+                continue
+            dag = orient_by_order(self._graph, order.order)
+            tri = list_triangles(dag)
+            tables = build_frontier_tables(dag, tri)
+            for kind, want in (
+                ("dag", dag), ("triangles", tri), ("frontier_tables", tables)
+            ):
+                got = ctx.peek(kind, variant)
+                if got is None:
+                    continue
+                wants = _piece_arrays(kind, want)
+                for name, a in _piece_arrays(kind, got).items():
+                    b = wants[name]
+                    if a.dtype != b.dtype or not np.array_equal(a, b):
+                        raise VerificationError(
+                            f"patched {kind}/{variant}{name} differs from a "
+                            f"rebuild {where}"
+                        )
+
     def _check_against_scratch(self, op: str, batch: Tuple[Pair, ...]) -> None:
         """The dynamic-vs-scratch oracle on the current tracked state."""
-        cold = PreparedGraph(self._graph, eps=self._eps)
         where = f"after {op} of {len(batch)} edges (version {self.version})"
+        self._check_pieces_against_rebuild(where)
+        cold = PreparedGraph(self._graph, eps=self._eps)
         for k in self.tracked_ks:
             scratch = int(
                 count_cliques(self._graph, k, prepared=cold).count

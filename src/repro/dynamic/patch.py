@@ -14,20 +14,32 @@ stable, so the triangle list is **patchable** instead of rebuilt:
 
 Mapping the affected triples through the carried rank and merging by
 packed int64 keys updates the sorted (u, w, v) row array in
-O((T + A) log(T + A)) — independent of the untouched communities. The
-communities and frontier tables then rebuild from the *patched* triangle
-list with whole-array passes: one :meth:`OrientedDAG.present_edge_ids`
-lookup (a single ``searchsorted`` over the DAG's packed edge keys) maps
-every row to its edge ids, then a lexsort (communities) or a scatter and
-the completeness-flag pass (frontier bitrows); no per-triangle Python
-loop. The DAG itself re-orients in O(n + m) on
-the new snapshot, whose CSR arrays :mod:`repro.dynamic.graph` splices
-from the old ones.
+O((T + A) log(T + A)) — independent of the untouched communities.
+
+The other pieces are spliced the same way, not rebuilt:
+
+* the DAG (:meth:`OrientedDAG.spliced`): each batch edge becomes
+  (lower, higher) under the carried rank; one ``searchsorted`` over
+  packed keys finds its slot in the out-rows and one in the in-rows,
+  and both indptrs shift — the CSR splice of :mod:`repro.dynamic.graph`,
+  with no argsort and no in-adjacency lexsort. Only a context that
+  never built a DAG re-orients the new snapshot (O(n + m));
+* the frontier tables (:func:`repro.core.frontier.patch_frontier_tables`):
+  a source's rows can change only if it is the lower endpoint of a
+  batch edge or the first vertex of an affected triangle. Every other
+  source's rows move across under the edge-id shift; the touched
+  sources' slice of the patched triangle list is re-scattered and their
+  completeness flags recomputed. A change of the word width W falls
+  back to a full build.
+
+Edge communities are not carried: the frontier path reads community
+sizes as the tables' row popcounts, so the patch drops them and the
+reference engine, existence and spectrum rebuild them on next use.
 
 Correctness of carrying the order: every counting/listing kernel is
 exact under *any* total order (the order only controls work bounds), and
 the existence fast paths use the context's degeneracy as the ω ≤ s + 1
-upper bound — which the patch refreshes to the re-oriented DAG's max
+upper bound — which the patch refreshes to the patched DAG's max
 out-degree D, a sound bound for any acyclic orientation (a clique's
 lowest-ranked vertex has out-degree ≥ ω − 1). After heavy mutation the
 carried order may drift from the true degeneracy order, degrading
@@ -35,7 +47,8 @@ carried order may drift from the true degeneracy order, degrading
 
 Pieces the patch cannot carry — edge orders (Algorithm 3/4 outputs are
 global greedy structures) and k-clique kernels — are invalidated and
-rebuild lazily on next use, exactly like a cold miss.
+rebuild lazily on next use, exactly like a cold miss, as are the edge
+communities.
 """
 
 from __future__ import annotations
@@ -45,12 +58,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.frontier import patch_frontier_tables
 from ..core.prepared import ORDER_VARIANTS, PreparedGraph
 from ..graphs.csr import CSRGraph
 from ..graphs.digraph import OrientedDAG, orient_by_order
 from ..orders.degeneracy import DegeneracyResult
 from ..pram.tracker import NULL_TRACKER, Tracker
-from ..triangles.communities import build_communities
 from .delta import cliques_through_edges
 
 __all__ = ["PatchReport", "patch_prepared", "PACK_LIMIT"]
@@ -68,10 +81,11 @@ class PatchReport:
     """Per-piece accounting of one patch: what survived vs. what died.
 
     ``carried`` pieces moved over untouched (vertex orders), ``patched``
-    were updated incrementally (triangle lists), ``rebuilt`` were
-    recomputed from patched inputs at sub-preprocessing cost (DAGs,
-    communities, frontier tables), ``invalidated`` were dropped to
-    rebuild lazily (edge orders, kernels, overflow fallbacks). The
+    were updated incrementally (triangle lists, spliced DAGs, frontier
+    tables patched for the touched sources), ``rebuilt`` were recomputed
+    from patched inputs (a DAG the old context never built, tables whose
+    word width changed), ``invalidated`` were dropped to rebuild lazily
+    (edge communities, edge orders, kernels, overflow fallbacks). The
     ``dynamic.*`` metrics mirror these fields.
     """
 
@@ -118,23 +132,21 @@ def _affected_triangles(
 
 def _patch_triangle_rows(
     old_tri: np.ndarray,
-    affected: List[Tuple[int, ...]],
-    rank: np.ndarray,
+    arr: np.ndarray,
     n: int,
     op: str,
 ) -> np.ndarray:
     """Apply the affected-triple delta to a sorted (u, w, v) row array.
 
-    Rows are ascending rank triples in lexicographic order; packing each
-    triple into the key (u·n + w)·n + v is order-preserving, so a key
-    mask (delete) or key merge (insert) keeps the invariant.
+    ``arr`` holds the affected triangles as ascending rank triples. Rows
+    are in lexicographic order; packing each triple into the key
+    (u·n + w)·n + v is order-preserving, so a key mask (delete) or key
+    merge (insert) keeps the invariant.
     """
-    if not affected:
+    if not arr.shape[0]:
         return old_tri
     tri64 = old_tri.astype(np.int64)
     old_keys = (tri64[:, 0] * n + tri64[:, 1]) * n + tri64[:, 2]
-    arr = rank[np.asarray(affected, dtype=np.int64)]
-    arr.sort(axis=1)
     new_keys = (arr[:, 0] * n + arr[:, 1]) * n + arr[:, 2]
     if op == "delete":
         return old_tri[~np.isin(old_keys, new_keys)]
@@ -147,7 +159,7 @@ def _carried_order_result(result: Any, dag: OrientedDAG) -> Any:
     """The old order result adjusted for the new graph.
 
     For the exact variant the ``degeneracy`` scalar feeds the ω ≤ s + 1
-    existence bound, so it is refreshed to the re-oriented DAG's max
+    existence bound, so it is refreshed to the patched DAG's max
     out-degree — a valid upper bound under any acyclic orientation (the
     ``core`` array is carried as-is; no prepared-context consumer reads
     it). The approx variant carries only order/round diagnostics.
@@ -173,8 +185,9 @@ def patch_prepared(
     ``new_graph``, a distinct object, so caches hold the two snapshots
     apart by graph identity.
 
-    Work: O(n + m + (T + A) log(T + A) + Σ_e |C(e)|) for A affected
-    triangles — the full O(m·s̃) triangle enumeration is never redone.
+    Work: O(n + m·W + (T + A) log(T + A)) for A affected triangles and
+    W-word table rows — the full O(m·s̃) triangle enumeration is never
+    redone.
     """
     if op not in ("insert", "delete"):
         raise ValueError(f"op must be 'insert' or 'delete', got {op!r}")
@@ -187,6 +200,7 @@ def patch_prepared(
     fresh = PreparedGraph(new_graph, eps=old.eps)
     report = PatchReport()
     n = new_graph.num_vertices
+    pairs = np.asarray(batch, dtype=np.int64).reshape(-1, 2)
 
     with tracker.phase("patch"):
         needs_delta = any(
@@ -202,51 +216,57 @@ def patch_prepared(
             order_result = old.peek("order", variant)
             if order_result is None:
                 continue
-            dag = orient_by_order(
-                new_graph, order_result.order, tracker=tracker
-            )
+            old_dag = old.peek("dag", variant)
+            if old_dag is None:
+                dag = orient_by_order(
+                    new_graph, order_result.order, tracker=tracker
+                )
+                report._note(f"dag/{variant}", "rebuilt")
+            else:
+                dag = old_dag.spliced(pairs[:, 0], pairs[:, 1], op)
+                report._note(f"dag/{variant}", "patched")
             fresh.install_piece(
                 "order", variant, _carried_order_result(order_result, dag)
             )
             report._note(f"order/{variant}", "carried")
             fresh.install_piece("dag", variant, dag)
-            report._note(f"dag/{variant}", "rebuilt")
 
+            rank = np.empty(n, dtype=np.int64)
+            rank[order_result.order] = np.arange(n)
             old_tri = old.peek("triangles", variant)
             tri: Optional[np.ndarray] = None
+            arr = np.empty((0, 3), dtype=np.int64)
             if old_tri is not None:
                 if affected is None:
                     report._note(f"triangles/{variant}", "invalidated")
                 else:
-                    rank = np.empty(n, dtype=np.int64)
-                    rank[order_result.order] = np.arange(n)
-                    tri = _patch_triangle_rows(
-                        old_tri, affected, rank, n, op
-                    )
+                    if affected:
+                        arr = rank[np.asarray(affected, dtype=np.int64)]
+                        arr.sort(axis=1)
+                    tri = _patch_triangle_rows(old_tri, arr, n, op)
                     fresh.install_piece("triangles", variant, tri)
                     report._note(f"triangles/{variant}", "patched")
             if old.peek("communities", variant) is not None:
-                if tri is None:
-                    report._note(f"communities/{variant}", "invalidated")
-                else:
-                    fresh.install_piece(
-                        "communities",
-                        variant,
-                        build_communities(dag, tracker=tracker, triangles=tri),
-                    )
-                    report._note(f"communities/{variant}", "rebuilt")
-            if old.peek("frontier_tables", variant) is not None:
-                if tri is None:
+                # Nothing on the frontier path reads them; the reference
+                # engine, existence and spectrum rebuild them on next use.
+                report._note(f"communities/{variant}", "invalidated")
+            old_tables = old.peek("frontier_tables", variant)
+            if old_tables is not None:
+                if tri is None or old_dag is None:
                     report._note(f"frontier_tables/{variant}", "invalidated")
                 else:
-                    from ..core.frontier import build_frontier_tables
-
-                    fresh.install_piece(
-                        "frontier_tables",
-                        variant,
-                        build_frontier_tables(dag, tri),
+                    ranked = rank[pairs]
+                    lo, hi = ranked.min(axis=1), ranked.max(axis=1)
+                    tables = patch_frontier_tables(
+                        old_tables, old_dag, dag, tri, op, lo, hi,
+                        np.concatenate([lo, arr[:, 0]]),
                     )
-                    report._note(f"frontier_tables/{variant}", "rebuilt")
+                    fresh.install_piece("frontier_tables", variant, tables)
+                    report._note(
+                        f"frontier_tables/{variant}",
+                        "patched" if tables.width == old_tables.width
+                        else "rebuilt",
+                    )
 
         # Global greedy structures cannot be localized: drop to lazy
         # rebuild. Sharded table blocks are keyed to the old DAG's edge

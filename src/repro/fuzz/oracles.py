@@ -43,7 +43,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..baselines.arbcount import arbcount_count
-from ..baselines.bruteforce import brute_force_count, brute_force_list
+from ..baselines.bruteforce import brute_force_list
 from ..baselines.chiba_nishizeki import chiba_nishizeki_count
 from ..baselines.kclist import kclist_count
 from ..core.api import count_cliques, list_cliques
@@ -53,7 +53,7 @@ from ..core.motifs import count_cliques_triangle_growing
 from ..core.prepared import PreparedGraph
 from ..core.sharded import sharded_count_cliques, sharded_list_cliques
 from ..core.variants import VARIANTS, run_variant
-from ..dynamic import DynamicGraph, random_trace
+from ..dynamic import DynamicGraph, VerificationError, random_trace
 from ..graphs.builder import complete_graph
 from ..graphs.csr import CSRGraph
 from ..pram.tracker import Tracker
@@ -66,6 +66,7 @@ __all__ = [
     "run_oracle",
     "run_oracles",
     "set_count_perturbation",
+    "shared_brute_force",
 ]
 
 # Above this size the brute-force oracle is dropped from the differential
@@ -96,6 +97,43 @@ def count_perturbation(fn: PerturbFn):
         yield
     finally:
         set_count_perturbation(None)
+
+
+# Raw brute-force listings per (graph, k), shared by the oracles of one
+# fuzz case while :func:`shared_brute_force` is open; the graph is kept
+# in the entry so its id cannot be reused while the memo lives.
+_BRUTE: Optional[Dict[Tuple[int, int], Tuple[CSRGraph, List[Tuple[int, ...]]]]] = None
+
+
+@contextmanager
+def shared_brute_force():
+    """Enumerate each (graph, k) by brute force at most once in the scope.
+
+    ``engines``, ``variants`` and ``listings`` all compare against brute
+    force on small graphs; a campaign opens this around one case so the
+    three share one enumeration, and closing it drops the memo. Only the
+    raw answer is shared: every leg still reports through
+    :func:`_observed` on its own.
+    """
+    global _BRUTE
+    _BRUTE = {}
+    try:
+        yield
+    finally:
+        _BRUTE = None
+
+
+def _brute_force_list(graph: CSRGraph, k: int) -> List[Tuple[int, ...]]:
+    """:func:`brute_force_list`, memoized while :func:`shared_brute_force`
+    is open. The returned list may be shared: do not mutate it."""
+    memo = _BRUTE
+    if memo is None:
+        return brute_force_list(graph, k)
+    got = memo.get((id(graph), k))
+    if got is None or got[0] is not graph:
+        got = (graph, brute_force_list(graph, k))
+        memo[(id(graph), k)] = got
+    return got[1]
 
 
 def _observed(engine: str, graph: CSRGraph, k: int, raw: int) -> int:
@@ -155,7 +193,7 @@ def oracle_engines(
     )
     counts["kclist"] = _observed("kclist", graph, k, kclist_count(graph, k).count)
     if graph.num_vertices <= BRUTE_FORCE_LIMIT:
-        counts["brute-force"] = brute_force_count(graph, k)
+        counts["brute-force"] = len(_brute_force_list(graph, k))
     violations: List[str] = []
     if len(set(counts.values())) > 1:
         detail = ", ".join(f"{name}={counts[name]}" for name in sorted(counts))
@@ -208,7 +246,7 @@ def oracle_variants(
             f"{expected}: {detail}"
         )
     if graph.num_vertices <= BRUTE_FORCE_LIMIT:
-        brute = brute_force_count(graph, k)
+        brute = len(_brute_force_list(graph, k))
         if brute != expected:
             violations.append(
                 f"reference counted {expected} {k}-cliques, brute force "
@@ -270,7 +308,7 @@ def oracle_listings(
     if ref != sorted(tuple(sorted(c)) for c in ref):
         violations.append(f"reference listing for k={k} is not canonical")
     if graph.num_vertices <= BRUTE_FORCE_LIMIT:
-        expected = sorted(brute_force_list(graph, k))
+        expected = sorted(_brute_force_list(graph, k))
         if ref != expected:
             violations.append(
                 f"reference listing disagrees with brute force for k={k}: "
@@ -410,47 +448,53 @@ def oracle_dynamic_vs_scratch(
     :class:`~repro.dynamic.DynamicGraph`, and after *every* batch the
     incrementally maintained count and listing — and a query through the
     patched warm context — must equal a cold recompute on the mutated
-    snapshot. Finally the trace is undone in reverse and the state must
-    round-trip to the original count and listing exactly.
+    snapshot. The graph runs with ``verify=True``, so every batch also
+    passes its array gate: the patched DAG, triangle rows and frontier
+    tables equal a rebuild under the carried order. Finally the trace is
+    undone in reverse and the state must round-trip to the original
+    count and listing exactly.
     """
     before = _observed("frontier", graph, k, frontier_count_cliques(graph, k))
     baseline_listing = list_cliques(graph, k)
-    dyn = DynamicGraph(graph)
+    dyn = DynamicGraph(graph, verify=True)
     dyn.count(k)
     dyn.cliques(k)
     trace = random_trace(
         graph, batches=2, batch_size=3, seed=int(rng.integers(2**31))
     )
     violations: List[str] = []
-    for step in trace:
-        dyn.apply_trace([step])
-        cold = PreparedGraph(dyn.graph)
-        scratch = _observed(
-            "frontier",
-            dyn.graph,
-            k,
-            frontier_count_cliques(dyn.graph, k, prepared=cold),
-        )
-        where = f"after {step['op']} of {len(step['batch'])} edges"
-        if dyn.count(k) != scratch:
-            violations.append(
-                f"incremental {k}-clique count {where} is {dyn.count(k)}, "
-                f"scratch recount is {scratch}"
+    try:
+        for step in trace:
+            dyn.apply_trace([step])
+            cold = PreparedGraph(dyn.graph)
+            scratch = _observed(
+                "frontier",
+                dyn.graph,
+                k,
+                frontier_count_cliques(dyn.graph, k, prepared=cold),
             )
-        warm = frontier_count_cliques(dyn.graph, k, prepared=dyn.prepared)
-        if warm != scratch:
-            violations.append(
-                f"patched warm context counts {warm} {k}-cliques {where}, "
-                f"scratch recount is {scratch}"
-            )
-        if dyn.cliques(k) != list_cliques(dyn.graph, k, prepared=cold):
-            violations.append(
-                f"incremental {k}-clique listing {where} differs from the "
-                f"scratch listing"
-            )
-    for step in reversed(trace):
-        inverse = "delete" if step["op"] == "insert" else "insert"
-        dyn.apply_trace([{"op": inverse, "batch": step["batch"]}])
+            where = f"after {step['op']} of {len(step['batch'])} edges"
+            if dyn.count(k) != scratch:
+                violations.append(
+                    f"incremental {k}-clique count {where} is {dyn.count(k)}, "
+                    f"scratch recount is {scratch}"
+                )
+            warm = frontier_count_cliques(dyn.graph, k, prepared=dyn.prepared)
+            if warm != scratch:
+                violations.append(
+                    f"patched warm context counts {warm} {k}-cliques {where}, "
+                    f"scratch recount is {scratch}"
+                )
+            if dyn.cliques(k) != list_cliques(dyn.graph, k, prepared=cold):
+                violations.append(
+                    f"incremental {k}-clique listing {where} differs from the "
+                    f"scratch listing"
+                )
+        for step in reversed(trace):
+            inverse = "delete" if step["op"] == "insert" else "insert"
+            dyn.apply_trace([{"op": inverse, "batch": step["batch"]}])
+    except VerificationError as exc:
+        return violations + [str(exc)]
     if dyn.count(k) != before:
         violations.append(
             f"undoing the trace did not round-trip the {k}-clique count: "

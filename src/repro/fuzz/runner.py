@@ -29,7 +29,7 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..obs.metrics import MetricsRegistry
-from .oracles import ORACLES, run_oracle
+from .oracles import ORACLES, run_oracle, shared_brute_force
 from .shrink import emit_regression, shrink_graph
 from .strategies import CaseSpec, derive_seed, edge_list, sample_case
 
@@ -235,32 +235,35 @@ def run_fuzz(
         cases_counter.inc()
         vertices_hist.record(graph.num_vertices)
         edges_hist.record(graph.num_edges)
-        for k in ks:
-            for name in chosen:
-                oracle_seed = derive_seed(seed, index, name, k)
-                messages = run_oracle(name, graph, k, seed=oracle_seed)
-                checks_counter.inc()
-                metrics.counter(f"fuzz.oracle.{name}.checks").inc()
-                for message in messages:
-                    violations_counter.inc()
-                    metrics.counter(f"fuzz.oracle.{name}.violations").inc()
-                    bucket = f"{name}:k={k}"
-                    first = bucket not in report.buckets
-                    report.buckets[bucket] = report.buckets.get(bucket, 0) + 1
-                    failure = FuzzFailure(
-                        case=spec,
-                        k=k,
-                        oracle=name,
-                        oracle_seed=oracle_seed,
-                        message=message,
-                        bucket=bucket,
-                    )
-                    if first:
-                        _handle_failure(
-                            failure, graph, shrink, emit_dir, artifact_dir,
-                            metrics,
+        # engines, variants and listings share one brute-force
+        # enumeration per (case, k); the memo closes with the case.
+        with shared_brute_force():
+            for k in ks:
+                for name in chosen:
+                    oracle_seed = derive_seed(seed, index, name, k)
+                    messages = run_oracle(name, graph, k, seed=oracle_seed)
+                    checks_counter.inc()
+                    metrics.counter(f"fuzz.oracle.{name}.checks").inc()
+                    for message in messages:
+                        violations_counter.inc()
+                        metrics.counter(f"fuzz.oracle.{name}.violations").inc()
+                        bucket = f"{name}:k={k}"
+                        first = bucket not in report.buckets
+                        report.buckets[bucket] = report.buckets.get(bucket, 0) + 1
+                        failure = FuzzFailure(
+                            case=spec,
+                            k=k,
+                            oracle=name,
+                            oracle_seed=oracle_seed,
+                            message=message,
+                            bucket=bucket,
                         )
-                        report.failures.append(failure)
+                        if first:
+                            _handle_failure(
+                                failure, graph, shrink, emit_dir, artifact_dir,
+                                metrics,
+                            )
+                            report.failures.append(failure)
         wall_hist.record((time.perf_counter() - case_started) * 1000.0)
         report.cases += 1
         if verbose:

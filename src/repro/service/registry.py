@@ -4,7 +4,8 @@ Clients address graphs by name, not by payload: ``register`` loads a
 graph once (from a built-in dataset, a graph file, or an inline edge
 list), wraps it in a :class:`~repro.dynamic.DynamicGraph`, and computes
 the statistics admission control prices with (n, m, degeneracy s, and —
-once communities are built — the largest community size γ). Every
+once the frontier tables or communities are built — the largest
+community size γ). Every
 subsequent query against the name amortizes the
 :class:`~repro.core.prepared.PreparedGraph` preprocessing through the
 shared :class:`~repro.core.prepared.PreparedCache`.
@@ -70,7 +71,7 @@ class GraphStats:
     n: int
     m: int
     degeneracy: int
-    gamma: Optional[int]  # None until communities have been built
+    gamma: Optional[int]  # None until tables or communities are built
     version: int
 
     def to_dict(self) -> Dict[str, Any]:
@@ -129,14 +130,15 @@ class RegisteredGraph:
         """Refresh the priced statistics from the warm prepared context.
 
         The degeneracy order is O(n + m) and memoized on the context, so
-        this is cheap at registration and free afterwards. γ requires
-        the communities piece (O(m·s̃) to build), so it is only read
-        when some query already paid for it — ``peek`` never builds.
+        this is cheap at registration and free afterwards. γ needs the
+        frontier tables or the communities (O(m·s̃) to build), so it is
+        only read when some query already paid for one of them —
+        :meth:`~repro.core.prepared.PreparedGraph.known_gamma` never
+        builds.
         """
         ctx = self.dyn.prepared
         s = ctx.degeneracy()
-        comms = ctx.peek("communities", "degeneracy")
-        gamma = None if comms is None else int(comms.max_size)
+        gamma = ctx.known_gamma("degeneracy")
         g = self.dyn.graph
         return GraphStats(
             name=self.name,

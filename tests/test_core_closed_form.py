@@ -175,14 +175,14 @@ def test_every_rebased_block_carries_its_slice_of_the_flags(budget):
 def test_patched_tables_carry_fresh_flags():
     g = gnm_random_graph(40, 260, seed=3)
     dyn = DynamicGraph(g)
-    dyn.count(5)  # materializes the tables the patch then rebuilds
+    dyn.count(5)  # materializes the tables the patch then patches
     for step in random_trace(g, batches=6, batch_size=12, seed=9):
         batch = [tuple(pair) for pair in step["batch"]]
         if step["op"] == "insert":
             dyn.insert_edges(batch)
         else:
             dyn.delete_edges(batch)
-        assert dyn.last_report.detail["frontier_tables/degeneracy"] == "rebuilt"
+        assert dyn.last_report.detail["frontier_tables/degeneracy"] == "patched"
         ctx = dyn.prepared
         tables = ctx.peek("frontier_tables", "degeneracy")
         expected = _pairwise_complete(ctx.dag("degeneracy"))

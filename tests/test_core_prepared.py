@@ -23,6 +23,7 @@ from repro import (
     prepare,
     prepared_cache_info,
 )
+from repro.bench.datasets import DATASETS, load_dataset
 from repro.core import (
     clique_spectrum,
     find_clique,
@@ -87,6 +88,19 @@ class TestPieceMemoization:
         ctx = PreparedGraph(g)
         assert ctx.degeneracy() == 9
         assert ctx.gamma() == 8  # largest community of K10 under any order
+
+    @pytest.mark.parametrize("name", sorted(DATASETS))
+    def test_gamma_from_tables_equals_the_communities(self, name):
+        # A context holding the frontier tables reads γ (and every
+        # community size) as row popcounts and builds no communities.
+        g = load_dataset(name)
+        ctx = PreparedGraph(g)
+        tables = ctx.frontier_tables("degeneracy")
+        gamma = ctx.gamma()
+        assert ctx.peek("communities", "degeneracy") is None
+        comms = ctx.communities("degeneracy")
+        assert gamma == comms.max_size
+        assert np.array_equal(tables.sizes, comms.sizes)
 
     def test_bad_inputs_rejected(self):
         g = complete_graph(4)

@@ -31,6 +31,7 @@ from repro.dynamic import (
 )
 from repro.dynamic import patch as patch_mod
 from repro.graphs import from_edges, gnm_random_graph
+from repro.graphs.builder import complete_graph
 from repro.graphs.generators import plant_cliques
 from repro.obs import MetricsRegistry
 from repro.pram.tracker import Tracker
@@ -186,6 +187,7 @@ class TestPatchInPlace:
     def warm_context(self, g):
         ctx = PreparedGraph(g)
         frontier_count_cliques(g, 4, prepared=ctx)  # builds through tables
+        ctx.communities()  # the frontier path no longer builds them
         ctx.edge_order("exact")
         ctx.kernel(4)
         return ctx
@@ -221,15 +223,19 @@ class TestPatchInPlace:
         _, report = patch_prepared(ctx, new_g, "delete", batch)
         # Warm pieces: order/dag/triangles/communities/frontier_tables for
         # the degeneracy variant plus one edge order and one kernel.
-        assert report.detail["order/degeneracy"] == "carried"
-        assert report.detail["triangles/degeneracy"] == "patched"
-        assert report.detail["dag/degeneracy"] == "rebuilt"
-        assert report.detail["communities/degeneracy"] == "rebuilt"
-        assert report.detail["frontier_tables/degeneracy"] == "rebuilt"
-        assert report.detail["edge_order/exact"] == "invalidated"
-        assert report.detail["kernel/4"] == "invalidated"
+        assert report.detail == {
+            "order/degeneracy": "carried",
+            "dag/degeneracy": "patched",
+            "triangles/degeneracy": "patched",
+            "communities/degeneracy": "invalidated",
+            "frontier_tables/degeneracy": "patched",
+            "edge_order/exact": "invalidated",
+            "kernel/4": "invalidated",
+        }
+        assert (report.carried, report.patched, report.rebuilt) == (1, 3, 0)
+        assert report.invalidated == 3
         assert report.total == len(report.detail)
-        assert 0.0 < report.patched_ratio < 1.0
+        assert report.patched_ratio == 4 / 7
 
     def test_unlimited_and_budgeted_shard_plans_both_invalidate(self):
         # An unlimited plan is keyed by budget None; beside an int budget
@@ -283,6 +289,151 @@ class TestPatchInPlace:
             patch_prepared(ctx, other, "delete", [(0, 1)])
 
 
+def _piece_arrays(ctx):
+    """Every array of the DAG, triangle and table pieces, by name."""
+    dag = ctx.peek("dag", "degeneracy")
+    tables = ctx.peek("frontier_tables", "degeneracy")
+    arrays = {
+        name: getattr(dag, name)
+        for name in (
+            "out_indptr", "out_indices", "in_indptr", "in_indices",
+            "original_ids",
+        )
+    }
+    arrays["triangles"] = ctx.peek("triangles", "degeneracy")
+    for name in ("rows", "rows_in", "complete"):
+        arrays[name] = getattr(tables, name)
+    return arrays
+
+
+class TestSplice:
+    """The DAG splice and the touched-source table patch on edge cases.
+
+    Every DynamicGraph here runs with ``verify=True``, so each batch is
+    also checked array by array against a rebuild under the carried
+    order.
+    """
+
+    def warm(self, g):
+        dyn = DynamicGraph(g, verify=True)
+        dyn.count(4)  # order, DAG, triangles and tables
+        return dyn
+
+    def test_width_change_falls_back_to_a_full_build(self):
+        # In K66 the rank-0 vertex has out-degree 65 (two words) and is
+        # the only one; dropping one of its edges makes s~ 64 (one word).
+        dyn = self.warm(complete_graph(66))
+        dag = dyn.prepared.dag()
+        assert (dag.max_out_degree, dyn.prepared.frontier_tables().width) == (
+            65, 2
+        )
+        u, v = (int(x) for x in dag.original_ids[:2])
+        dyn.delete_edges([(u, v)])
+        assert dyn.last_report.detail["frontier_tables/degeneracy"] == "rebuilt"
+        assert dyn.prepared.peek("frontier_tables", "degeneracy").width == 1
+        dyn.insert_edges([(u, v)])
+        assert dyn.last_report.detail["frontier_tables/degeneracy"] == "rebuilt"
+        assert dyn.prepared.peek("frontier_tables", "degeneracy").width == 2
+        assert dyn.count(4) == 720720  # C(66, 4)
+
+    def test_batch_touching_no_triangle(self):
+        # A triangle with a pendant path: the path edge is in no triangle,
+        # and neither is a new edge between the path's far ends.
+        g = from_edges(
+            np.asarray([[0, 1], [1, 2], [0, 2], [2, 3], [3, 4], [5, 6]]),
+            num_vertices=8,
+        )
+        dyn = DynamicGraph(g, verify=True)
+        dyn.count(3)
+        dyn.prepared.frontier_tables()
+        for mutate, batch in (
+            (dyn.delete_edges, [(3, 4)]), (dyn.insert_edges, [(4, 7), (6, 7)])
+        ):
+            mutate(batch)
+            report = dyn.last_report
+            assert report.affected_triangles == 0
+            assert report.detail["frontier_tables/degeneracy"] == "patched"
+        assert dyn.count(3) == 1
+
+    def test_batch_edges_sharing_a_source(self):
+        g = gnm_random_graph(40, 200, seed=4)
+        dyn = self.warm(g)
+        dag = dyn.prepared.dag()
+        first = int(dag.original_ids[0])  # rank 0: every edge leaves it
+        present = [int(dag.original_ids[v]) for v in dag.out_neighbors(0)]
+        absent = [
+            v for v in range(g.num_vertices)
+            if v != first and not g.has_edge(first, v)
+        ]
+        assert len(present) >= 3 and len(absent) >= 3
+        dyn.insert_edges([(first, v) for v in absent[:3]])
+        assert dyn.last_report.detail["frontier_tables/degeneracy"] == "patched"
+        dyn.delete_edges([(first, v) for v in present[:3]])
+        assert dyn.last_report.detail["frontier_tables/degeneracy"] == "patched"
+        assert dyn.count(4) == scratch_count(dyn.graph, 4)
+
+    def test_splice_rejects_a_present_insert_and_a_missing_delete(self):
+        dag = PreparedGraph(rich_graph(seed=36)).dag()
+        us, vs = dag.edge_endpoints()
+        u, v = (int(x) for x in dag.original_ids[[us[0], vs[0]]])
+        with pytest.raises(ValueError, match="present"):
+            dag.spliced(np.array([u]), np.array([v]), "insert")
+        spliced = dag.spliced(np.array([u]), np.array([v]), "delete")
+        with pytest.raises(ValueError, match="missing"):
+            spliced.spliced(np.array([v]), np.array([u]), "delete")
+
+    def test_insert_then_delete_restores_every_array(self):
+        g = rich_graph(seed=30)
+        dyn = self.warm(g)
+        before = {
+            name: (arr.dtype, arr.shape, arr.tobytes())
+            for name, arr in _piece_arrays(dyn.prepared).items()
+        }
+        trace = random_trace(g, batches=1, batch_size=9, seed=5, p_insert=1.0)
+        batch = [tuple(pair) for pair in trace[0]["batch"]]
+        dyn.insert_edges(batch)
+        assert dyn.last_report.affected_triangles > 0
+        dyn.delete_edges(batch)
+        after = {
+            name: (arr.dtype, arr.shape, arr.tobytes())
+            for name, arr in _piece_arrays(dyn.prepared).items()
+        }
+        assert after == before
+
+    def test_count_after_mutation_builds_no_communities(self):
+        g = rich_graph(seed=32)
+        dyn = DynamicGraph(g)
+        ctx = dyn.prepared
+        count_cliques(g, 5, prepared=ctx)
+        gamma = ctx.communities().max_size
+        dyn.delete_edges([next(iter(g.edges()))])
+        assert dyn.last_report.detail["communities/degeneracy"] == "invalidated"
+        result = count_cliques(dyn.graph, 5, prepared=dyn.prepared)
+        assert result.engine == "frontier"
+        assert result.count == scratch_count(dyn.graph, 5)
+        assert dyn.prepared.peek("communities", "degeneracy") is None
+        # γ came from the tables, and equals the rebuilt communities'.
+        assert result.gamma == dyn.prepared.communities().max_size
+        assert result.gamma <= gamma
+
+    def test_resident_execute_never_reads_communities(self, monkeypatch):
+        g = rich_graph(seed=34)
+        # k = 3 last: its count comes from the triangle rows alone, and
+        # its γ from the tables the k = 4 count built.
+        expected = {k: scratch_count(g, k) for k in (4, 5, 3)}
+        listing = list_cliques(g, 4, engine="reference")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the resident plan read the communities")
+
+        monkeypatch.setattr(PreparedGraph, "communities", forbidden)
+        ctx = PreparedGraph(g)
+        for k, want in expected.items():
+            got = count_cliques(g, k, prepared=ctx, engine="frontier")
+            assert (got.count, got.gamma) == (want, ctx.gamma())
+        assert list_cliques(g, 4, prepared=ctx, engine="frontier") == listing
+
+
 class TestMutationIsCheaperThanRecount:
     def test_tracked_work_beats_cold_recount(self):
         g = rich_graph(seed=20)
@@ -311,11 +462,17 @@ class TestMutationIsCheaperThanRecount:
         tracker.attach_metrics(registry)
         dyn = DynamicGraph(g, tracker=tracker)
         dyn.count(4)
+        dyn.prepared.communities()
         dyn.apply_trace(random_trace(g, batches=2, batch_size=3, seed=2))
         assert registry.counter("dynamic.mutations").value == 2
         assert registry.histogram("dynamic.batch_size").count == 2
-        assert registry.counter("dynamic.patched_pieces").value > 0
-        assert registry.counter("dynamic.invalidated_pieces").value == 0
+        # Per batch: the DAG, triangles and tables are patched and the
+        # order carried. The one community piece is invalidated by the
+        # first batch, and nothing rebuilds it before the second.
+        assert registry.counter("dynamic.patched_pieces").value == 6
+        assert registry.counter("dynamic.carried_pieces").value == 2
+        assert registry.counter("dynamic.rebuilt_pieces").value == 0
+        assert registry.counter("dynamic.invalidated_pieces").value == 1
         names = registry.names()
         for expected in (
             "dynamic.touched_communities",

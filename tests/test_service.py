@@ -477,8 +477,12 @@ class TestMutationRaces:
         before, after = run(flow())
         assert before == {}
         assert after["dynamic.mutations"] == 1
-        assert after["dynamic.patched_pieces"] > 0
-        assert after["dynamic.rebuilt_pieces"] > 0
+        # The count built order, DAG, triangles and tables: the order is
+        # carried, the other three are patched, nothing is rebuilt.
+        assert after["dynamic.carried_pieces"] == 1
+        assert after["dynamic.patched_pieces"] == 3
+        assert after["dynamic.rebuilt_pieces"] == 0
+        assert after["dynamic.invalidated_pieces"] == 0
 
 
 class TestSpectrumSizes:
