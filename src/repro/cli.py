@@ -24,7 +24,7 @@
   every query-service answer under concurrent mutation against the graph
   version it reports), delta-debugging shrinker, auto-emitted pytest
   regressions (exit 4 on any violation; see docs/FUZZING.md);
-* ``lint [paths] [--changed] [--format text|json|sarif|github]`` — the
+* ``lint [paths] [--format text|json] [--rules IDS]`` — the
   repo-aware static analysis (intra-module rules R1–R4 plus the
   interprocedural call-graph rules R5–R8; see docs/STATIC_ANALYSIS.md);
 * ``serve [--port P] [--graph NAME=SPEC ...] [--max-query-work W]`` —
@@ -355,59 +355,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .lint import (
-        ChangedFilesError,
-        changed_python_files,
-        format_github,
-        format_json,
-        format_sarif,
-        format_text,
-        load_baseline,
-        partition,
-        rules_by_id,
-        run_lint,
-        save_baseline,
-    )
+    from .lint import format_json, format_text, rules_by_id, run_lint
 
-    paths = args.paths or ["src"]
-    if args.changed:
-        try:
-            paths = changed_python_files(base=args.base)
-        except ChangedFilesError as exc:
-            print(
-                f"lint --changed: {exc}; falling back to a full lint",
-                file=sys.stderr,
-            )
-        else:
-            if not paths:
-                print("no findings")
-                return 0
     rules = None if args.rules is None else rules_by_id(args.rules)
-    findings = run_lint(paths, rules=rules)
+    findings = run_lint(args.paths or ["src"], rules=rules)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.exists("lint-baseline.json"):
-        baseline_path = "lint-baseline.json"
-
-    if args.write_baseline:
-        target = baseline_path or "lint-baseline.json"
-        save_baseline(target, findings)
-        print(f"baseline written: {target} ({len(findings)} finding(s))")
-        return 0
-
-    grandfathered: List = []
-    if baseline_path is not None:
-        findings, grandfathered = partition(findings, load_baseline(baseline_path))
-
-    if args.format == "json":
-        print(format_json(findings, grandfathered))
-    elif args.format == "sarif":
-        print(format_sarif(findings, grandfathered))
-    elif args.format == "github":
-        print(format_github(findings, grandfathered))
-    else:
-        print(format_text(findings, grandfathered))
+    print(format_json(findings) if args.format == "json" else format_text(findings))
     return 1 if findings else 0
 
 
@@ -834,31 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lint", help="repo-aware static analysis (rules R1-R8)")
     p.add_argument("paths", nargs="*", help="files/directories (default: src)")
-    p.add_argument(
-        "--format", choices=("text", "json", "sarif", "github"), default="text"
-    )
-    p.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline JSON (default: ./lint-baseline.json if present)",
-    )
-    p.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings as the accepted baseline and exit 0",
-    )
-    p.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only .py files changed since the merge-base "
-        "(falls back to a full lint if git cannot answer)",
-    )
-    p.add_argument(
-        "--base",
-        default=None,
-        metavar="REF",
-        help="merge-base ref for --changed (default: origin/main, then main)",
-    )
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument(
         "--rules",
         default=None,

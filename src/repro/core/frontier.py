@@ -146,12 +146,13 @@ class FrontierTables:
         rows_in: np.ndarray,
         complete: np.ndarray,
         width: int,
+        sizes: Optional[np.ndarray] = None,
     ) -> None:
         self.rows = rows
         self.rows_in = rows_in
         self.complete = complete
         self.width = width
-        self._sizes: Optional[np.ndarray] = None
+        self._sizes = sizes
 
     @property
     def sizes(self) -> np.ndarray:
@@ -159,7 +160,9 @@ class FrontierTables:
 
         Equal to the edge communities' sizes, so the frontier path never
         needs the communities themselves. Computed on first use only, so
-        a shard block that is never asked holds no extra bytes.
+        a shard block that is never asked holds no extra bytes; tables
+        patched from memoized ones arrive with it set
+        (:func:`patch_frontier_tables`).
         """
         sizes = self._sizes
         if sizes is None:
@@ -195,17 +198,23 @@ def build_frontier_tables(
     rows = np.zeros((m, width), dtype=np.uint64)
     rows_in = np.zeros((m, width), dtype=np.uint64)
     e_uw, e_uv = scatter_triangles(dag, triangles, rows, rows_in)
-    complete = complete_flags(rows, rows_in, e_uw, e_uv)
+    complete, _ = complete_flags(rows, rows_in, e_uw, e_uv)
     return _sealed(rows, rows_in, complete, width)
 
 
 def _sealed(
-    rows: np.ndarray, rows_in: np.ndarray, complete: np.ndarray, width: int
+    rows: np.ndarray,
+    rows_in: np.ndarray,
+    complete: np.ndarray,
+    width: int,
+    sizes: Optional[np.ndarray] = None,
 ) -> FrontierTables:
     rows.setflags(write=False)
     rows_in.setflags(write=False)
     complete.setflags(write=False)
-    return FrontierTables(rows, rows_in, complete, width)
+    if sizes is not None:
+        sizes.setflags(write=False)
+    return FrontierTables(rows, rows_in, complete, width, sizes)
 
 
 def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -238,6 +247,9 @@ def patch_frontier_tables(
     ``np.insert``/``np.delete`` of the batch slots per array. The touched
     sources' rows are cleared, their slice of ``triangles`` re-scattered
     (:func:`scatter_triangles`) and their completeness flags recomputed.
+    If ``old`` has its :attr:`~FrontierTables.sizes` memoized, they
+    shift the same way and take the touched rows' popcounts, so the
+    first use after a mutation does not popcount all m rows again.
     A change of the word width W falls back to
     :func:`build_frontier_tables`. With T' triangles and m' edges of the
     touched sources:
@@ -248,17 +260,22 @@ def patch_frontier_tables(
     width = (dag.max_out_degree + 63) // 64
     if width != old.width:
         return build_frontier_tables(dag, triangles)
+    sizes = old._sizes
     if op == "insert":
         slots = np.sort(dag.present_edge_ids(lo, hi))
         slots -= np.arange(slots.size)
         rows = np.insert(old.rows, slots, 0, axis=0)
         rows_in = np.insert(old.rows_in, slots, 0, axis=0)
         complete = np.insert(old.complete, slots, False)
+        if sizes is not None:
+            sizes = np.insert(sizes, slots, 0)
     else:
         slots = old_dag.present_edge_ids(lo, hi)
         rows = np.delete(old.rows, slots, axis=0)
         rows_in = np.delete(old.rows_in, slots, axis=0)
         complete = np.delete(old.complete, slots)
+        if sizes is not None:
+            sizes = np.delete(sizes, slots)
     touched = np.unique(touched)
     edges = _ranges(dag.out_indptr[touched], dag.out_indptr[touched + 1])
     rows[edges] = 0
@@ -271,8 +288,10 @@ def patch_frontier_tables(
         )
     ]
     e_uw, e_uv = scatter_triangles(dag, tri, rows, rows_in)
-    complete[edges] = complete_flags(rows, rows_in, e_uw, e_uv, edges)
-    return _sealed(rows, rows_in, complete, width)
+    complete[edges], p = complete_flags(rows, rows_in, e_uw, e_uv, edges)
+    if sizes is not None:
+        sizes[edges] = p
+    return _sealed(rows, rows_in, complete, width, sizes)
 
 
 def source_row_starts(dag: OrientedDAG, edges: np.ndarray) -> np.ndarray:
@@ -329,9 +348,9 @@ def complete_flags(
     summing over the triangles ``(u, w, v)`` of ``e = (u, v)`` (the
     rows :func:`scatter_triangles` returns) counts the edges of
     DAG[C(e)]; it is complete when that equals ``p(p−1)/2`` with
-    ``p = |C(e)|``. ``edges`` restricts the answer to those rows, whose
-    triangles must all be among the given ones. With T triangles, m
-    rows and W words per row:
+    ``p = |C(e)|``. Returns the flags and ``p``. ``edges`` restricts the
+    answer to those rows, whose triangles must all be among the given
+    ones. With T triangles, m rows and W words per row:
 
     Work: O(m·W + T·W)
     Depth: O(log T)
@@ -345,7 +364,7 @@ def complete_flags(
         inner = inner[edges]
         rows_in = rows_in[edges]
     p = popcount_rows(rows_in)
-    return 2 * inner == p * (p - 1)
+    return 2 * inner == p * (p - 1), p
 
 
 def _drive(

@@ -316,7 +316,7 @@ class ShardedTables:
         lo = int(np.searchsorted(tri[:, 0], shard.v_lo, side="left"))
         hi = int(np.searchsorted(tri[:, 0], shard.v_hi, side="left"))
         e_uw, e_uv = scatter_triangles(dag, tri[lo:hi], rows, rows_in, shard.e0)
-        complete = complete_flags(rows, rows_in, e_uw, e_uv)
+        complete, _ = complete_flags(rows, rows_in, e_uw, e_uv)
         rows.setflags(write=False)
         rows_in.setflags(write=False)
         complete.setflags(write=False)

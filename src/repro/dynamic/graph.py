@@ -79,7 +79,7 @@ def _piece_arrays(kind: str, piece: Any) -> Dict[str, np.ndarray]:
     names = (
         ("out_indptr", "out_indices", "in_indptr", "in_indices", "original_ids")
         if kind == "dag"
-        else ("rows", "rows_in", "complete")
+        else ("rows", "rows_in", "complete", "sizes")
     )
     return {f".{name}": getattr(piece, name) for name in names}
 

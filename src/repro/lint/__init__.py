@@ -31,21 +31,18 @@ Interprocedural, on the project call graph
 * **R8** instrumentation drift — ``tracker.phase``/metric call sites vs.
   the tables in docs/OBSERVABILITY.md (:mod:`~repro.lint.rules_obs`).
 
-Run via ``python -m repro lint [paths]`` (``--changed`` lints only files
-off the merge-base; ``--format sarif|github`` feeds CI annotation);
-suppress single findings with a trailing ``# lint: ignore[R1]`` comment;
-grandfather legacy findings in a committed JSON baseline (see
-:mod:`~repro.lint.baseline`). The runtime counterpart — the CREW
-write-set sanitizer — lives in :mod:`repro.pram.sanitize`.
+Run via ``python -m repro lint [paths] [--format text|json] [--rules
+IDS]``; suppress single findings with a trailing ``# lint: ignore[R1]``
+comment. Every finding is fixed or suppressed inline; none is carried in
+a file. The runtime counterpart — the CREW write-set sanitizer — lives
+in :mod:`repro.pram.sanitize`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from .baseline import load_baseline, partition, save_baseline
 from .callgraph import Project
-from .changed import ChangedFilesError, changed_python_files
 from .core import Finding, Module, Rule, collect_python_files, parse_module, run_rules
 from .reporting import format_json, format_text
 from .rules_complexity import ComplexityRule
@@ -56,7 +53,6 @@ from .rules_frozen import FrozenArrayRule
 from .rules_instrumentation import InstrumentationRule
 from .rules_obs import ObsDriftRule
 from .rules_purity import PurityRule
-from .sarif import format_github, format_sarif
 
 __all__ = [
     "ALL_RULES",
@@ -67,15 +63,8 @@ __all__ = [
     "run_lint",
     "collect_python_files",
     "parse_module",
-    "load_baseline",
-    "save_baseline",
-    "partition",
     "format_text",
     "format_json",
-    "format_sarif",
-    "format_github",
-    "changed_python_files",
-    "ChangedFilesError",
     "rules_by_id",
 ]
 

@@ -19,7 +19,6 @@ function (function-wide suppression).
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
 import re
 from dataclasses import dataclass, field
@@ -50,15 +49,6 @@ class Finding:
     col: int
     symbol: str
     message: str
-
-    def fingerprint(self) -> str:
-        """Line-number-insensitive identity used by the baseline.
-
-        Hashing (rule, path, symbol, message) keeps baselines stable under
-        unrelated edits that merely shift line numbers.
-        """
-        raw = "\x1f".join((self.rule, self.path, self.symbol, self.message))
-        return hashlib.sha1(raw.encode("utf-8")).hexdigest()[:16]
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"

@@ -10,19 +10,11 @@ from .core import Finding
 __all__ = ["format_text", "format_json"]
 
 
-def format_text(
-    findings: Sequence[Finding],
-    grandfathered: Sequence[Finding] = (),
-) -> str:
+def format_text(findings: Sequence[Finding]) -> str:
     """One ``path:line:col: RULE [symbol] message`` line per finding."""
     lines: List[str] = []
     for f in findings:
         lines.append(f"{f.location()}: {f.rule} [{f.symbol}] {f.message}")
-    if grandfathered:
-        lines.append(
-            f"({len(grandfathered)} baselined finding"
-            f"{'s' if len(grandfathered) != 1 else ''} suppressed)"
-        )
     if findings:
         by_rule: Dict[str, int] = {}
         for f in findings:
@@ -34,14 +26,10 @@ def format_text(
     return "\n".join(lines)
 
 
-def format_json(
-    findings: Sequence[Finding],
-    grandfathered: Sequence[Finding] = (),
-) -> str:
+def format_json(findings: Sequence[Finding]) -> str:
     payload = {
         "version": 1,
         "count": len(findings),
-        "baselined": len(grandfathered),
         "findings": [
             {
                 "rule": f.rule,
@@ -50,7 +38,6 @@ def format_json(
                 "col": f.col,
                 "symbol": f.symbol,
                 "message": f.message,
-                "fingerprint": f.fingerprint(),
             }
             for f in findings
         ],

@@ -31,6 +31,7 @@ from repro.dynamic import (
 )
 from repro.dynamic import patch as patch_mod
 from repro.graphs import from_edges, gnm_random_graph
+from repro.graphs.bitset import popcount_rows
 from repro.graphs.builder import complete_graph
 from repro.graphs.generators import plant_cliques
 from repro.obs import MetricsRegistry
@@ -211,6 +212,25 @@ class TestPatchInPlace:
                 frontier_count_cliques(new_g, k, prepared=patched)
                 == scratch_count(new_g, k)
             )
+
+    def test_patched_tables_arrive_with_memoized_sizes(self):
+        g = rich_graph(seed=9)
+        ctx = PreparedGraph(g)
+        ctx.frontier_tables("degeneracy").sizes  # memoize before the batch
+        us, vs = g.edge_array()
+        batch = [(int(us[i]), int(vs[i])) for i in (2, 7, 11)]
+        kept = [p for p in g.edges() if p not in set(batch)]
+        for op, new_g in (
+            ("delete", from_edges(
+                np.asarray(kept, dtype=np.int64), num_vertices=g.num_vertices
+            )),
+            ("insert", g),
+        ):
+            ctx, _ = patch_prepared(ctx, new_g, op, batch)
+            tables = ctx.peek("frontier_tables", "degeneracy")
+            assert tables._sizes is not None
+            assert not tables._sizes.flags.writeable
+            assert np.array_equal(tables._sizes, popcount_rows(tables.rows_in))
 
     def test_report_accounts_every_piece(self):
         g = rich_graph(seed=10)

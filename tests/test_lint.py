@@ -1,4 +1,4 @@
-"""The linter against its seeded fixtures, the baseline, and the CLI."""
+"""The linter against its seeded fixtures, the shipped tree, and the CLI."""
 
 from __future__ import annotations
 
@@ -8,20 +8,13 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.lint import (
-    Finding,
-    load_baseline,
-    partition,
-    run_lint,
-    save_baseline,
-)
+from repro.lint import run_lint
 from repro.lint.core import collect_python_files, parse_module
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "lint_fixtures")
 REPO = os.path.dirname(HERE)
 SRC = os.path.join(REPO, "src")
-BASELINE = os.path.join(REPO, "lint-baseline.json")
 
 
 def _fixture(name: str) -> str:
@@ -118,49 +111,14 @@ def test_parse_module_relative_paths_and_globals():
     assert "_RESULTS" in mod.mutable_globals
 
 
-def test_fingerprint_is_line_insensitive():
-    a = Finding("R3", "x.py", 10, 4, "f", "msg")
-    b = Finding("R3", "x.py", 99, 0, "f", "msg")
-    c = Finding("R3", "x.py", 10, 4, "g", "msg")
-    assert a.fingerprint() == b.fingerprint()
-    assert a.fingerprint() != c.fingerprint()
-
-
-def test_baseline_roundtrip_and_partition(tmp_path):
-    findings = run_lint([_fixture("seeded_r3")])
-    path = str(tmp_path / "baseline.json")
-    save_baseline(path, findings)
-    baseline = load_baseline(path)
-    new, old = partition(findings, baseline)
-    assert new == [] and len(old) == len(findings)
-    # A finding beyond its baselined count is new again.
-    extra = findings + [findings[0]]
-    new, old = partition(extra, baseline)
-    assert len(new) == 1 and new[0].fingerprint() == findings[0].fingerprint()
-
-
-def test_load_baseline_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("[1, 2, 3]\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_baseline(str(path))
-
-
 # -- the shipped tree ------------------------------------------------------
 
 
-def test_shipped_tree_is_clean_modulo_baseline():
+def test_shipped_tree_is_clean():
     findings = run_lint([SRC], root=REPO)
-    new, _ = partition(findings, load_baseline(BASELINE))
-    assert new == [], "\n".join(f"{f.location()}: {f.rule} {f.message}" for f in new)
-
-
-def test_committed_baseline_entries_still_exist():
-    # Stale entries mean a fixed finding was never removed from the file.
-    findings = run_lint([SRC], root=REPO)
-    current = {f.fingerprint() for f in findings}
-    for fp in load_baseline(BASELINE):
-        assert fp in current, f"stale baseline entry {fp}"
+    assert findings == [], "\n".join(
+        f"{f.location()}: {f.rule} {f.message}" for f in findings
+    )
 
 
 # -- CLI -------------------------------------------------------------------
@@ -182,20 +140,14 @@ def test_cli_lint_json_format(capsys, monkeypatch):
     assert code == 1
     assert payload["count"] == 4
     assert {f["rule"] for f in payload["findings"]} == {"R4"}
-    assert all("fingerprint" in f for f in payload["findings"])
+    assert set(payload) == {"version", "count", "findings"}
+    assert all(
+        set(f) == {"rule", "path", "line", "col", "symbol", "message"}
+        for f in payload["findings"]
+    )
 
 
-def test_cli_lint_src_passes_with_committed_baseline(capsys, monkeypatch):
+def test_cli_lint_src_passes(capsys, monkeypatch):
     monkeypatch.chdir(REPO)
     assert main(["lint", "src"]) == 0
     assert "no findings" in capsys.readouterr().out
-
-
-def test_cli_lint_write_baseline(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(REPO)
-    target = str(tmp_path / "b.json")
-    assert main(["lint", _fixture("seeded_r3"), "--baseline", target,
-                 "--write-baseline"]) == 0
-    assert main(["lint", _fixture("seeded_r3"), "--baseline", target]) == 0
-    out = capsys.readouterr().out
-    assert "baselined" in out or "no findings" in out

@@ -1,24 +1,13 @@
-"""Interprocedural rules R5-R8, SARIF/github reporters, and --changed."""
+"""Interprocedural rules R5-R8 and rule selection."""
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
 
 import pytest
 
 from repro.cli import main
-from repro.lint import (
-    ALL_RULES,
-    ChangedFilesError,
-    Finding,
-    changed_python_files,
-    format_github,
-    format_sarif,
-    rules_by_id,
-    run_lint,
-)
+from repro.lint import ALL_RULES, rules_by_id, run_lint
 from repro.lint.core import parse_module, run_rules
 from repro.lint.rules_contracts import parse_bound
 from repro.lint.rules_obs import ObsDriftRule, parse_obs_doc
@@ -180,42 +169,6 @@ def test_r8_stale_direction_gated_on_full_coverage():
     assert not [f for f in findings if f.symbol == "<docs>"]
 
 
-# -- reporters --------------------------------------------------------------
-
-
-def test_sarif_output_is_valid_and_fingerprinted():
-    findings = run_lint([_fixture("seeded_r6")])
-    doc = json.loads(
-        format_sarif(findings, grandfathered=findings[:1], rules=ALL_RULES)
-    )
-    assert doc["version"] == "2.1.0"
-    run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-lint"
-    rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {f"R{i}" for i in range(1, 9)} <= rule_ids
-    results = run["results"]
-    assert len(results) == len(findings) + 1
-    for r in results:
-        assert r["partialFingerprints"]["reproLint/v1"]
-        region = r["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1 and region["startColumn"] >= 1
-    suppressed = [r for r in results if "suppressions" in r]
-    assert len(suppressed) == 1
-    assert suppressed[0]["suppressions"][0]["kind"] == "external"
-
-
-def test_github_format_escapes_and_summarizes():
-    f = Finding("R5", "src/a.py", 3, 0, "w", "bad, very bad\nsecond line")
-    out = format_github([f], grandfathered=[f])
-    lines = out.splitlines()
-    assert lines[0].startswith("::error file=src/a.py,line=3,col=1,")
-    assert "title=repro-lint R5" in lines[0]
-    assert "%0A" in lines[0]  # the newline never splits the command
-    assert "::notice::1 baselined finding(s) suppressed" in lines
-    assert lines[-1] == "1 finding(s)"
-    assert format_github([]).splitlines()[-1] == "no findings"
-
-
 # -- rule selection ---------------------------------------------------------
 
 
@@ -232,87 +185,3 @@ def test_cli_rules_filter(capsys, monkeypatch):
     capsys.readouterr()
     assert main(["lint", _fixture("seeded_r6"), "--rules", "R6,R7"]) == 1
     assert "R6" in capsys.readouterr().out
-
-
-def test_cli_sarif_smoke(capsys, monkeypatch):
-    monkeypatch.chdir(REPO)
-    code = main(["lint", _fixture("seeded_r7"), "--format", "sarif"])
-    doc = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert {r["ruleId"] for r in doc["runs"][0]["results"]} == {"R7"}
-
-
-# -- --changed --------------------------------------------------------------
-
-
-def _git(args, cwd):
-    subprocess.run(
-        ["git"] + list(args), cwd=cwd, check=True, capture_output=True
-    )
-
-
-def _init_repo(path):
-    _git(["init", "-q"], path)
-    _git(["config", "user.email", "lint@test.invalid"], path)
-    _git(["config", "user.name", "lint-test"], path)
-
-
-_BAD_PY = """\
-def f():
-    items = {"b", "a"}
-    out = []
-    for x in items:
-        out.append(x)
-    return out
-"""
-
-
-def test_changed_python_files_lists_edited_and_untracked(tmp_path):
-    _init_repo(tmp_path)
-    (tmp_path / "clean.py").write_text("X = 1\n", encoding="utf-8")
-    (tmp_path / "notes.txt").write_text("not python\n", encoding="utf-8")
-    _git(["add", "."], tmp_path)
-    _git(["commit", "-q", "-m", "seed"], tmp_path)
-    (tmp_path / "clean.py").write_text("X = 2\n", encoding="utf-8")
-    (tmp_path / "fresh.py").write_text("Y = 3\n", encoding="utf-8")
-    files = changed_python_files(base="HEAD", root=str(tmp_path))
-    assert files == ["clean.py", "fresh.py"]
-
-
-def test_changed_python_files_raises_outside_git(tmp_path):
-    with pytest.raises(ChangedFilesError):
-        changed_python_files(base="HEAD", root=str(tmp_path))
-
-
-def test_cli_changed_lints_only_the_diff(tmp_path, capsys, monkeypatch):
-    _init_repo(tmp_path)
-    (tmp_path / "committed.py").write_text("X = 1\n", encoding="utf-8")
-    _git(["add", "."], tmp_path)
-    _git(["commit", "-q", "-m", "seed"], tmp_path)
-    (tmp_path / "bad.py").write_text(_BAD_PY, encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    code = main(["lint", "--changed", "--base", "HEAD"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "bad.py" in out and "R3" in out
-    assert "committed.py" not in out
-
-
-def test_cli_changed_clean_diff_short_circuits(tmp_path, capsys, monkeypatch):
-    _init_repo(tmp_path)
-    (tmp_path / "committed.py").write_text("X = 1\n", encoding="utf-8")
-    _git(["add", "."], tmp_path)
-    _git(["commit", "-q", "-m", "seed"], tmp_path)
-    monkeypatch.chdir(tmp_path)
-    assert main(["lint", "--changed", "--base", "HEAD"]) == 0
-    assert "no findings" in capsys.readouterr().out
-
-
-def test_cli_changed_falls_back_outside_git(tmp_path, capsys, monkeypatch):
-    clean = tmp_path / "ok.py"
-    clean.write_text("X = 1\n", encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    code = main(["lint", str(clean), "--changed", "--base", "HEAD"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "falling back to a full lint" in captured.err
