@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import tokenize
 
 import pytest
 
 from repro.cli import main
-from repro.lint import run_lint
-from repro.lint.core import collect_python_files, parse_module
+from repro.lint import ALL_RULES, run_lint
+from repro.lint.core import (
+    collect_python_files,
+    enclosing_map,
+    parse_module,
+    run_rules,
+)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "lint_fixtures")
@@ -114,11 +121,47 @@ def test_parse_module_relative_paths_and_globals():
 # -- the shipped tree ------------------------------------------------------
 
 
-def test_shipped_tree_is_clean():
+def test_shipped_tree_is_clean_modulo_baseline():
+    # Inline suppressions are the only baseline: no finding is carried in a file.
     findings = run_lint([SRC], root=REPO)
     assert findings == [], "\n".join(
         f"{f.location()}: {f.rule} {f.message}" for f in findings
     )
+    assert not os.path.exists(os.path.join(REPO, "lint-baseline.json"))
+
+
+def _suppression_comments(module) -> dict:
+    """Line -> rule ids of the ``# lint: ignore`` *comments* (not docstrings)."""
+    out: dict = {}
+    source = "\n".join(module.lines) + "\n"
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT and tok.start[0] in module.suppressions:
+            out[tok.start[0]] = module.suppressions[tok.start[0]]
+    return out
+
+
+def test_committed_baseline_entries_still_exist():
+    # The inline suppressions stand in for the old baseline file. A stale one
+    # means a fixed finding was never un-suppressed: lint with suppressions
+    # off and check each comment still silences a live finding.
+    modules = [parse_module(p, root=REPO) for p in collect_python_files([SRC])]
+    comments = {m.path: _suppression_comments(m) for m in modules}
+    for m in modules:
+        m.suppressions = {}
+    findings = run_rules(modules, ALL_RULES, root=REPO)
+    by_module = {m.path: m for m in modules}
+    live = set()
+    for f in findings:
+        enclosing = enclosing_map(by_module[f.path].tree).get(f.line)
+        for line in {f.line, getattr(enclosing, "lineno", f.line)}:
+            live.add((f.path, line, f.rule))
+    assert any(comments.values()), "expected suppressions in the shipped tree"
+    for path, lines in comments.items():
+        for line, rules in lines.items():
+            assert any(
+                (p, ln) == (path, line) and ("*" in rules or r in rules)
+                for p, ln, r in live
+            ), f"stale suppression {path}:{line} {sorted(rules)}"
 
 
 # -- CLI -------------------------------------------------------------------
